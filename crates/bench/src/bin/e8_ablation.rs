@@ -21,10 +21,7 @@ fn main() {
     let mut rows = Vec::new();
     for (name, cap) in caps {
         let cfg = ExactConfig {
-            mst: MstConfig {
-                cap: Some(cap),
-                ..Default::default()
-            },
+            mst: MstConfig { cap: Some(cap) },
             packing: PackingConfig {
                 size: PackingSize::Fixed(2),
                 max_trees: 2,

@@ -13,20 +13,19 @@
 //!    factor of the serial run's rounds, pinning what asynchrony costs
 //!    the paper's `O(D + √n·polylog n)` bound in this harness. The run
 //!    double-checks bit parity of the cut on the way.
-//! 3. **mstA messages** — the optimized phase-A fragment growth
-//!    (frozen-level skip + fused cand/dec + deterministic mating) must
-//!    stay under a checked-in `mstA` message budget on torus24x24 *and*
-//!    on the canonical 70602-node instance, and at most half of what
-//!    the legacy phase A moves on the same graph. Both runs must agree
-//!    on the cut bit-for-bit, so the optimization can never trade
-//!    correctness for traffic.
+//! 3. **mstA messages** — phase-A fragment growth (frozen-level skip +
+//!    fused cand/dec + deterministic mating) must stay under a checked-in
+//!    `mstA` message budget on torus24x24 *and* on the canonical
+//!    70602-node instance. Each budget is at most half of what the
+//!    coin-mating phase A it replaced moved on the same graph. Every
+//!    packed tree must equal the sequential greedy packing's tree edge
+//!    for edge, so traffic can never be traded for correctness.
 
 use congest::primitives::leader_bfs::LeaderBfs;
 use congest::{ExecutorKind, Network, NetworkConfig};
 use graphs::generators;
 use mincut::dist::driver::{exact_mincut, ExactConfig};
-use mincut::dist::mst::{MstAMode, MstConfig};
-use mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut::seq::tree_packing::{greedy_packing, PackingConfig, PackingSize};
 use std::process::ExitCode;
 
 /// Message budget for the staged election on the 70602-node instance.
@@ -52,49 +51,36 @@ const MIN_RATIO: u64 = 8;
 /// whole tick per round per phase, ≥ +30%) blows well past it.
 const MAX_OVERHEAD_PCT: u64 = 1000;
 
-/// `mstA` message budget for the optimized phase A on torus24x24 with
-/// the canonical 3-tree packing (the instance BENCH_rounds.json tracks).
-/// Measured: 26,046 vs 54,077 legacy (a 2.08× cut). The budget is the
-/// PR's acceptance bar — half of legacy, rounded to a stable figure —
-/// so the win cannot erode below 2×.
+/// `mstA` message budget on torus24x24 with the canonical 3-tree
+/// packing (the instance BENCH_rounds.json tracks). Measured: 26,046.
+/// The coin-mating phase A this protocol replaced moved 54,077 here;
+/// the budget stays below half of that, so the 2× win cannot erode.
 const MSTA_TORUS_BUDGET: u64 = 27_000;
 
-/// `mstA` message budget for the optimized phase A on the 70602-node
-/// instance (single packed tree, the `tests/large_n.rs` workload).
-/// Measured: 1,657,900 vs 3,376,228 legacy (a 2.04× cut); the budget
-/// leaves ~2.5% headroom — the ≤½·legacy ratio check is the real bar,
-/// this pins the absolute figure against drift.
-const MSTA_LARGE_BUDGET: u64 = 1_700_000;
+/// `mstA` message budget on the 70602-node instance (single packed
+/// tree, the `tests/large_n.rs` workload). Measured: 1,657,900. The
+/// budget is exactly half of the 3,376,228 messages the coin-mating
+/// phase A it replaced moved here (~1.8% headroom).
+const MSTA_LARGE_BUDGET: u64 = 1_688_114;
 
-/// The mstA gate: run the exact pipeline twice (legacy and optimized
-/// phase A), check bit parity of the cut, and return both `mstA`
-/// message totals.
-fn msta_probe(g: &graphs::WeightedGraph, base: &ExactConfig, label: &str) -> (u64, u64) {
-    let run = |mode: MstAMode| {
-        let cfg = ExactConfig {
-            mst: MstConfig {
-                mode,
-                ..base.mst.clone()
-            },
-            ..base.clone()
-        };
-        exact_mincut(g, &cfg).expect("exact run succeeds")
-    };
-    let legacy = run(MstAMode::Legacy);
-    let opt = run(MstAMode::Optimized);
+/// The mstA gate probe: run the exact pipeline, check every packed tree
+/// against the sequential greedy packing, and return the `mstA` message
+/// total.
+fn msta_probe(g: &graphs::WeightedGraph, cfg: &ExactConfig, label: &str) -> u64 {
+    let r = exact_mincut(g, cfg).expect("exact run succeeds");
+    let want: Vec<Vec<graphs::EdgeId>> = greedy_packing(g, r.trees_packed)
+        .expect("sequential packing succeeds")
+        .into_iter()
+        .map(|mut t| {
+            t.sort_unstable();
+            t
+        })
+        .collect();
     assert_eq!(
-        (opt.cut.value, opt.cut.side.clone(), opt.trees_packed),
-        (
-            legacy.cut.value,
-            legacy.cut.side.clone(),
-            legacy.trees_packed
-        ),
-        "{label}: optimized phase A must be bit-identical to legacy"
+        r.tree_edges, want,
+        "{label}: distributed trees must equal the sequential packing"
     );
-    (
-        legacy.ledger.messages_matching("mstA"),
-        opt.ledger.messages_matching("mstA"),
-    )
+    r.ledger.messages_matching("mstA")
 }
 
 fn count(g: &graphs::WeightedGraph, algo: &LeaderBfs) -> u64 {
@@ -150,17 +136,10 @@ fn main() -> ExitCode {
         },
         ..Default::default()
     };
-    let (leg_t, opt_t) = msta_probe(&torus, &torus_cfg, "torus24x24");
-    println!(
-        "mstA on torus24x24: optimized {opt_t} msgs, legacy {leg_t} msgs ({:.2}x)",
-        leg_t as f64 / opt_t as f64
-    );
-    if opt_t > MSTA_TORUS_BUDGET {
-        eprintln!("GATE FAILED: mstA moved {opt_t} messages > budget {MSTA_TORUS_BUDGET}");
-        ok = false;
-    }
-    if opt_t * 2 > leg_t {
-        eprintln!("GATE FAILED: optimized mstA ({opt_t}) exceeds half of legacy ({leg_t})");
+    let msta_t = msta_probe(&torus, &torus_cfg, "torus24x24");
+    println!("mstA on torus24x24: {msta_t} msgs (budget {MSTA_TORUS_BUDGET})");
+    if msta_t > MSTA_TORUS_BUDGET {
+        eprintln!("GATE FAILED: mstA moved {msta_t} messages > budget {MSTA_TORUS_BUDGET}");
         ok = false;
     }
     // Gate 3b: mstA on the 70602-node instance (single packed tree, the
@@ -174,18 +153,13 @@ fn main() -> ExitCode {
         ..Default::default()
     }
     .with_executor(ExecutorKind::Parallel { threads: 4 });
-    let (leg_l, opt_l) = msta_probe(&g, &large_cfg, "large_n");
+    let msta_l = msta_probe(&g, &large_cfg, "large_n");
     println!(
-        "mstA on n = {}: optimized {opt_l} msgs, legacy {leg_l} msgs ({:.2}x)",
-        g.node_count(),
-        leg_l as f64 / opt_l as f64
+        "mstA on n = {}: {msta_l} msgs (budget {MSTA_LARGE_BUDGET})",
+        g.node_count()
     );
-    if opt_l > MSTA_LARGE_BUDGET {
-        eprintln!("GATE FAILED: mstA moved {opt_l} messages > budget {MSTA_LARGE_BUDGET}");
-        ok = false;
-    }
-    if opt_l * 2 > leg_l {
-        eprintln!("GATE FAILED: optimized mstA ({opt_l}) exceeds half of legacy ({leg_l})");
+    if msta_l > MSTA_LARGE_BUDGET {
+        eprintln!("GATE FAILED: mstA moved {msta_l} messages > budget {MSTA_LARGE_BUDGET}");
         ok = false;
     }
     let (serial_rounds, phys_rounds) = overhead_probe();

@@ -132,6 +132,31 @@ impl MetricsLedger {
         self.walls.push(wall_ms);
     }
 
+    /// Appends every phase of `other`, in order, with its wall-clock
+    /// time — how a driver merges the ledgers of the sessions it ran.
+    ///
+    /// With `Some(prefix)` each absorbed phase is renamed to
+    /// `{prefix}{name}`, except phases whose name already starts with the
+    /// prefix's stem (its text up to the first `'.'`) and a dot: a
+    /// `recover.e2.` prefix leaves `recover.e2.resume.bfs` alone rather
+    /// than double-prefixing it.
+    pub fn absorb(&mut self, other: &MetricsLedger, prefix: Option<&str>) {
+        for (p, &wall) in other.phases.iter().zip(&other.walls) {
+            let mut p = p.clone();
+            if let Some(prefix) = prefix {
+                let stem = prefix.split('.').next().unwrap_or(prefix);
+                let born_prefixed = p
+                    .name
+                    .strip_prefix(stem)
+                    .is_some_and(|rest| rest.starts_with('.'));
+                if !born_prefixed {
+                    p.name = format!("{prefix}{}", p.name);
+                }
+            }
+            self.push_timed(p, wall);
+        }
+    }
+
     /// All recorded phases in execution order.
     pub fn phases(&self) -> &[PhaseMetrics] {
         &self.phases
@@ -274,7 +299,7 @@ impl MetricsLedger {
     }
 
     /// Aggregates the recorded phases by label *stem* — the phase name up
-    /// to the first `'.'` (`"mstA.l3.cand"` → `"mstA"`, `"leader_bfs"` →
+    /// to the first `'.'` (`"mstA.l3.cd"` → `"mstA"`, `"leader_bfs"` →
     /// `"leader_bfs"`) — in order of first appearance. This is the
     /// breakdown `bench_smoke` emits per instance and the quickest answer
     /// to "where does the traffic go".
@@ -403,6 +428,33 @@ mod tests {
                 sim: SimPhaseStats::default(),
             }
         );
+    }
+
+    #[test]
+    fn absorb_carries_walls_and_never_double_prefixes() {
+        let mut attempt = MetricsLedger::new();
+        attempt.push_timed(phase("mstA.l0.exch", 3, 30, 300), 1.5);
+        attempt.push_timed(phase("recover.e2.resume.bfs", 2, 20, 200), 0.25);
+        attempt.push_timed(phase("recovered", 1, 1, 1), 0.5);
+        let mut merged = MetricsLedger::new();
+        merged.absorb(&attempt, Some("recover.e2."));
+        merged.absorb(&attempt, None);
+        let names: Vec<&str> = merged.phases().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "recover.e2.mstA.l0.exch",
+                "recover.e2.resume.bfs",
+                "recover.e2.recovered",
+                "mstA.l0.exch",
+                "recover.e2.resume.bfs",
+                "recovered",
+            ]
+        );
+        assert_eq!(merged.total_wall_ms(), 2.0 * attempt.total_wall_ms());
+        assert_eq!(merged.wall_ms_of_stem("mstA"), 1.5);
+        assert_eq!(merged.total_rounds(), 2 * attempt.total_rounds());
+        assert_eq!(merged.phases()[0].messages, 30);
     }
 
     #[test]

@@ -40,9 +40,8 @@ pub const REGISTERED_STEMS: &[&str] = &[
     "init",
     // MST phase A (capped fragment growth) and phase B (Borůvka over
     // the BFS tree), with their per-level/per-iteration sub-phases.
-    // Phase A's sub-phases differ by mode: legacy emits
-    // `.l{level}.{exch,cand,dec,hook}`, the optimized protocol fuses
-    // cand/dec into `.l{level}.cd` (see `docs/mst.md`).
+    // Phase A emits `.l{level}.{exch,cd,hook}`, `cd` being the fused
+    // candidate/decision pass (see `docs/mst.md`).
     "mstA",
     "mstB",
     // Tree orientation (reroot at the fragment leader).

@@ -123,13 +123,11 @@ pub fn approx_mincut(
             sample: (!exact_rung).then_some((p, config.seed ^ rung)),
             election: Election::default(),
         };
-        match run_pipeline(g, &opts) {
+        match run_pipeline(g, &opts, None, None).map_err(|(e, _)| e) {
             Ok(outcome) => {
                 rounds += outcome.rounds;
                 messages += outcome.messages;
-                for ph in outcome.ledger.phases() {
-                    ledger.push(ph.clone());
-                }
+                ledger.absorb(&outcome.ledger, None);
                 if best
                     .as_ref()
                     .is_none_or(|b| outcome.cut.value < b.cut.value)
@@ -166,12 +164,13 @@ pub fn approx_mincut(
                     sample: None,
                     election: Election::default(),
                 },
-            )?;
+                None,
+                None,
+            )
+            .map_err(|(e, _)| e)?;
             rounds += outcome.rounds;
             messages += outcome.messages;
-            for ph in outcome.ledger.phases() {
-                ledger.push(ph.clone());
-            }
+            ledger.absorb(&outcome.ledger, None);
             PipelineBest { cut: outcome.cut }
         }
     };

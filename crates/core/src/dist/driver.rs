@@ -16,8 +16,8 @@
 //! that a real deployment would obtain from an `O(D)` convergecast.
 
 use crate::dist::mst::{
-    ACand, BorCand, CandAgg, CandDec, CdInput, CompMsg, DecMsg, FragHook, FragHook2, FragMsg,
-    HookInput, HookInput2, HookRole, MergeItem, MstAMode, MstConfig, OptAgg, OptCand, ReportItem,
+    BorCand, CandDec, CdInput, CompMsg, DecMsg, FragHook, FragMsg, HookInput, HookRole, MergeItem,
+    MoeAgg, MoeCand, MstConfig, ReportItem,
 };
 use crate::dist::one_respect::{
     AttItem, FragReroot, IntervalDown, IntervalInput, Intervals, NbMsg, PairItem, RerootInput,
@@ -49,7 +49,7 @@ pub struct ExactConfig {
     /// Greedy tree packing policy (how many trees, mirroring the
     /// sequential packing).
     pub packing: PackingConfig,
-    /// Distributed MST stage knobs (fragment cap, coin seed).
+    /// Distributed MST stage knobs (the phase-A fragment cap).
     pub mst: MstConfig,
     /// Which leader-election protocol opens the pipeline. The staged
     /// election (default) and the legacy flood produce bit-identical
@@ -110,10 +110,10 @@ pub struct DistMinCutResult {
     /// Per-phase metrics of the whole run.
     pub ledger: MetricsLedger,
     /// Edge ids of every packed tree, sorted — one entry per tree, in
-    /// packing order. The mode-independent object the phase-A parity
-    /// suites compare: `MstAMode::Legacy` and `::Optimized` must
-    /// produce identical sets (the MST is unique under the
-    /// weight-then-edge-id tie-break both modes share).
+    /// packing order. Each entry equals the corresponding tree of the
+    /// sequential [`crate::seq::tree_packing::greedy_packing`] (the MST
+    /// is unique under the weight-then-edge-id tie-break both share),
+    /// which is what the MST parity suites pin.
     pub tree_edges: Vec<Vec<graphs::EdgeId>>,
 }
 
@@ -139,26 +139,14 @@ pub fn exact_mincut(
     g: &WeightedGraph,
     config: &ExactConfig,
 ) -> Result<DistMinCutResult, MinCutError> {
-    let outcome = run_pipeline(
-        g,
-        &PipelineOpts {
-            network: config.network.clone(),
-            mst: config.mst.clone(),
-            target: PackingTarget::TrackBest(config.packing.clone()),
-            sample: None,
-            election: config.election,
-        },
-    )?;
-    Ok(DistMinCutResult {
-        cut: outcome.cut,
-        rounds: outcome.rounds,
-        messages: outcome.messages,
-        trees_packed: outcome.trees_packed,
-        trees_to_best: outcome.trees_to_best,
-        best_node: outcome.best_node,
-        ledger: outcome.ledger,
-        tree_edges: outcome.tree_edges,
-    })
+    let opts = PipelineOpts {
+        network: config.network.clone(),
+        mst: config.mst.clone(),
+        target: PackingTarget::TrackBest(config.packing.clone()),
+        sample: None,
+        election: config.election,
+    };
+    run_pipeline(g, &opts, None, None).map_err(|(e, _)| e)
 }
 
 // ---------------------------------------------------------------------------
@@ -180,19 +168,6 @@ pub(crate) struct PipelineOpts {
     pub sample: Option<(f64, u64)>,
     /// Leader-election protocol (see [`ExactConfig::election`]).
     pub election: Election,
-}
-
-/// Outcome of one pipeline run.
-#[derive(Clone, Debug)]
-pub(crate) struct PipelineOutcome {
-    pub cut: CutResult,
-    pub trees_packed: usize,
-    pub trees_to_best: usize,
-    pub best_node: Option<NodeId>,
-    pub rounds: u64,
-    pub messages: u64,
-    pub ledger: MetricsLedger,
-    pub tree_edges: Vec<Vec<graphs::EdgeId>>,
 }
 
 /// A driver-side snapshot of the pipeline's validated stage outputs,
@@ -321,6 +296,11 @@ fn tree_infos(g: &WeightedGraph, parents: &[Option<u32>]) -> Vec<TreeInfo> {
     infos
 }
 
+/// Termination guard on phase-A levels. Deterministic mating finishes
+/// phase A in `O(log n)` levels; any fragments still below the cap after
+/// this many levels are simply handed to phase B, which remains correct.
+const MAX_LEVELS: usize = 96;
+
 /// Per-node persistent local memory threaded through the phases.
 #[derive(Clone, Debug, Default)]
 struct NodeMem {
@@ -343,22 +323,19 @@ struct NodeMem {
     port_frag: Vec<u32>,
     port_frozen: Vec<bool>,
     port_comp: Vec<u32>,
-    /// Last `(frag, frozen)` announced to the neighbors (legacy mstA
-    /// delta exchange); `None` before the first announcement of a tree.
-    ann_frag: Option<FragMsg>,
-    /// Optimized mstA: ports whose neighbor must still be told this
-    /// node's `(frag, frozen)` at the next `.exch` (boundary ports of a
+    /// mstA: ports whose neighbor must still be told this node's
+    /// `(frag, frozen)` at the next `.exch` (boundary ports of a
     /// relabel/freeze; old-fragment neighbors infer the change locally).
     ann_mask: Vec<bool>,
-    /// Optimized mstA: this node's fragment-tree depth (maintained by
-    /// the hook handshake; drives the `.cd` send schedule).
+    /// mstA: this node's fragment-tree depth (maintained by the hook
+    /// handshake; drives the `.cd` send schedule).
     depth: u32,
-    /// Optimized mstA: aggregate last sent up in `.cd` (delta cache).
-    cd_sent: Option<OptAgg>,
-    /// Optimized mstA: last aggregate received per port in `.cd`.
-    cd_children: Vec<Option<OptAgg>>,
-    /// Optimized mstA: the fragment was restructured since the last
-    /// `.cd` pass — drop the caches and speak unconditionally.
+    /// mstA: aggregate last sent up in `.cd` (delta cache).
+    cd_sent: Option<MoeAgg>,
+    /// mstA: last aggregate received per port in `.cd`.
+    cd_children: Vec<Option<MoeAgg>>,
+    /// mstA: the fragment was restructured since the last `.cd` pass —
+    /// drop the caches and speak unconditionally.
     cd_purge: bool,
     /// Last `(comp, frag)` announced (mstB delta exchange).
     ann_comp: Option<CompMsg>,
@@ -424,7 +401,7 @@ struct Pipeline<'g> {
 impl<'g> Pipeline<'g> {
     /// Elects the leader, builds its BFS tree, and initialises every
     /// node's static memory. On failure the ledger accumulated so far
-    /// rides along with the error (see [`run_pipeline_traced`]).
+    /// rides along with the error (see [`run_pipeline`]).
     fn new(
         g: &'g WeightedGraph,
         network: NetworkConfig,
@@ -690,9 +667,8 @@ impl<'g> Pipeline<'g> {
             m.inter_parent = None;
             m.inter_children.clear();
             // Level-0 fragment ids are node ids, and neighbor ids are
-            // a-priori local knowledge in CONGEST — so the optimized
-            // mode's initial per-port view costs zero messages. (The
-            // legacy mode overwrites this with its level-0 broadcast.)
+            // a-priori local knowledge in CONGEST — so the initial
+            // per-port view costs zero messages.
             m.port_frag = g
                 .neighbors(NodeId::from_index(v))
                 .iter()
@@ -700,7 +676,6 @@ impl<'g> Pipeline<'g> {
                 .collect();
             m.port_frozen = vec![false; deg];
             m.port_comp = vec![0; deg];
-            m.ann_frag = None;
             m.ann_mask = vec![false; deg];
             m.depth = 0;
             m.cd_sent = None;
@@ -737,16 +712,8 @@ impl<'g> Pipeline<'g> {
         best
     }
 
-    /// Phase A: capped fragment growth. See [`crate::dist::mst`] and,
-    /// for the optimized protocol, `docs/mst.md`.
-    fn mst_phase_a(&mut self) -> Result<(), MinCutError> {
-        match self.mst.mode {
-            MstAMode::Legacy => self.mst_phase_a_legacy(),
-            MstAMode::Optimized => self.mst_phase_a_opt(),
-        }
-    }
-
-    /// The optimized phase A: boundary-only label refresh, one fused
+    /// Phase A: capped fragment growth (see [`crate::dist::mst`] and
+    /// `docs/mst.md`) — boundary-only label refresh, one fused
     /// `.cd` pass per level (delta-convergecast up, decision broadcast
     /// down only when the fragment hooks or freezes), deterministic
     /// lowest-differing-bit mating, and frozen fragments out of the loop
@@ -756,9 +723,9 @@ impl<'g> Pipeline<'g> {
     /// control plane — a loop-scheduling decision a real deployment
     /// would obtain from an `O(D)` convergecast, like the termination
     /// checks above it (see the module docs).
-    fn mst_phase_a_opt(&mut self) -> Result<(), MinCutError> {
+    fn mst_phase_a(&mut self) -> Result<(), MinCutError> {
         let cap = self.mst.effective_cap(self.n) as u64;
-        for level in 0..self.mst.max_levels {
+        for level in 0..MAX_LEVELS {
             let frags: BTreeSet<u32> = self.mems.iter().map(|m| m.frag).collect();
             if frags.len() == 1 || self.mems.iter().all(|m| m.frozen) {
                 return Ok(());
@@ -810,7 +777,7 @@ impl<'g> Pipeline<'g> {
                         None
                     } else {
                         self.local_cand(v, m.frag, &m.port_frag)
-                            .map(|(p, c)| OptCand {
+                            .map(|(p, c)| MoeCand {
                                 cand: c,
                                 target_frag: m.port_frag[p.index()],
                                 target_frozen: m.port_frozen[p.index()],
@@ -866,8 +833,8 @@ impl<'g> Pipeline<'g> {
             }
             // 3. Hook handshake + re-root floods. Every fragment that is
             // not itself hooking accepts — deterministic mating admits
-            // no 2-cycles, so no coin filter is needed.
-            let inputs: Vec<HookInput2> = (0..self.n)
+            // no 2-cycles.
+            let inputs: Vec<HookInput> = (0..self.n)
                 .map(|v| {
                     let m = &self.mems[v];
                     let hook_edge = decs[v].and_then(|d| d.hook_edge);
@@ -881,7 +848,7 @@ impl<'g> Pipeline<'g> {
                         },
                         None => HookRole::Passive,
                     };
-                    HookInput2 {
+                    HookInput {
                         tree_ports: m.tree_ports.iter().copied().collect(),
                         role,
                         eligible: hook_edge.is_none(),
@@ -891,7 +858,7 @@ impl<'g> Pipeline<'g> {
                 })
                 .collect();
             let name = format!("mstA.l{level}.hook");
-            let out = self.net.run(&name, &FragHook2, inputs)?;
+            let out = self.net.run(&name, &FragHook, inputs)?;
             for (m, h) in self.mems.iter_mut().zip(out.outputs) {
                 if let Some((f, fz)) = h.new_frag {
                     let old = m.frag;
@@ -935,179 +902,6 @@ impl<'g> Pipeline<'g> {
         Ok(())
     }
 
-    /// The legacy phase A (the parity oracle): full label
-    /// delta-exchange, counting convergecast + separate decision
-    /// broadcast, shared-coin mating.
-    ///
-    /// Frozen fragments sit out the candidate/decision sub-phases (their
-    /// members halt instantly on singleton forest inputs), so a level's
-    /// cost is bounded by the *unfrozen* fragment diameter — below the
-    /// cap by definition — plus the hook handshake.
-    fn mst_phase_a_legacy(&mut self) -> Result<(), MinCutError> {
-        let cap = self.mst.effective_cap(self.n);
-        for level in 0..self.mst.max_levels {
-            let frags: BTreeSet<u32> = self.mems.iter().map(|m| m.frag).collect();
-            if frags.len() == 1 || self.mems.iter().all(|m| m.frozen) {
-                return Ok(());
-            }
-            // Exchange fragment ids + frozen flags — delta discipline:
-            // a node re-announces only when its (frag, frozen) changed
-            // since its last announcement, and receivers keep their
-            // stored per-port view otherwise. Level 0 announces
-            // everywhere (nothing announced yet), so the view is always
-            // complete; afterwards only freshly hooked or frozen
-            // fragments speak, which is what keeps converged regions
-            // silent.
-            let name = format!("mstA.l{level}.exch");
-            let inputs: Vec<Option<FragMsg>> = self
-                .mems
-                .iter()
-                .map(|m| {
-                    let cur = FragMsg {
-                        frag: m.frag,
-                        frozen: m.frozen,
-                    };
-                    (m.ann_frag != Some(cur)).then_some(cur)
-                })
-                .collect();
-            let out = self.net.run(&name, &DeltaExchange::new(), inputs)?;
-            for (m, o) in self.mems.iter_mut().zip(out.outputs) {
-                m.ann_frag = Some(FragMsg {
-                    frag: m.frag,
-                    frozen: m.frozen,
-                });
-                for (p, got) in o.into_iter().enumerate() {
-                    if let Some(f) = got {
-                        m.port_frag[p] = f.frag;
-                        m.port_frozen[p] = f.frozen;
-                    }
-                }
-            }
-            // Fragment minimum outgoing candidates + sizes (unfrozen
-            // fragments only).
-            let inputs: Vec<(TreeInfo, CandAgg)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    if m.frozen {
-                        (
-                            TreeInfo::default(),
-                            CandAgg {
-                                size: 0,
-                                cand: None,
-                            },
-                        )
-                    } else {
-                        let cand = self
-                            .local_cand(v, m.frag, &m.port_frag)
-                            .map(|(p, c)| ACand {
-                                cand: c,
-                                target_frozen: m.port_frozen[p.index()],
-                            });
-                        (m.ftree(), CandAgg { size: 1, cand })
-                    }
-                })
-                .collect();
-            let name = format!("mstA.l{level}.cand");
-            let out = self.net.run(&name, &Convergecast::new(), inputs)?;
-            // Roots of unfrozen fragments decide: hook when tails (the
-            // mating coin) or when the target is frozen (always safe —
-            // frozen fragments never re-root).
-            let mut decisions: BTreeMap<u32, DecMsg> = BTreeMap::new();
-            let mut any_hook = false;
-            for (v, agg) in out.outputs.iter().enumerate() {
-                let m = &self.mems[v];
-                if let Some(agg) = agg {
-                    if m.frozen {
-                        continue;
-                    }
-                    let frozen = agg.size >= cap as u64;
-                    let tails = !self.mst.heads(m.frag, level);
-                    let hook_edge = if !frozen {
-                        agg.cand
-                            .filter(|c| tails || c.target_frozen)
-                            .map(|c| c.cand.edge)
-                    } else {
-                        None
-                    };
-                    any_hook |= hook_edge.is_some();
-                    decisions.insert(m.frag, DecMsg { frozen, hook_edge });
-                }
-            }
-            // Broadcast decisions down the unfrozen fragment trees
-            // (frozen members run a 1-round dummy and stay frozen).
-            let dummy = DecMsg {
-                frozen: true,
-                hook_edge: None,
-            };
-            let inputs: Vec<(TreeInfo, Option<DecMsg>)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    if m.frozen {
-                        (TreeInfo::default(), Some(dummy))
-                    } else {
-                        let dec = m.ftree().is_root().then(|| decisions[&m.frag]);
-                        (m.ftree(), dec)
-                    }
-                })
-                .collect();
-            let name = format!("mstA.l{level}.dec");
-            let out = self.net.run(&name, &Broadcast::new(), inputs)?;
-            let decs = out.outputs;
-            for (m, d) in self.mems.iter_mut().zip(decs.iter()) {
-                m.frozen = d.frozen;
-            }
-            if !any_hook {
-                continue;
-            }
-            // Hook handshake + re-root floods.
-            let inputs: Vec<(HookInput, u32)> = (0..self.n)
-                .map(|v| {
-                    let m = &self.mems[v];
-                    let dec = &decs[v];
-                    let role = match dec.hook_edge {
-                        Some(e) => match m.port_of_edge(e) {
-                            Some(p) if m.port_frag[p.index()] != m.frag => HookRole::Connector {
-                                port: p,
-                                target_frag: m.port_frag[p.index()],
-                            },
-                            _ => HookRole::Await,
-                        },
-                        None => HookRole::Passive,
-                    };
-                    // A fragment that is itself hooking must not accept
-                    // (that is what keeps hook chains at length one).
-                    let eligible =
-                        m.frozen || (self.mst.heads(m.frag, level) && dec.hook_edge.is_none());
-                    (
-                        HookInput {
-                            tree_ports: m.tree_ports.iter().copied().collect(),
-                            role,
-                            eligible,
-                            frozen: m.frozen,
-                        },
-                        m.frag,
-                    )
-                })
-                .collect();
-            let name = format!("mstA.l{level}.hook");
-            let out = self.net.run(&name, &FragHook, inputs)?;
-            for (m, h) in self.mems.iter_mut().zip(out.outputs) {
-                if let Some((f, fz)) = h.new_frag {
-                    m.frag = f;
-                    m.frozen = fz;
-                    m.parent = h.new_parent;
-                    if let Some(p) = h.new_parent {
-                        m.tree_ports.insert(p);
-                    }
-                }
-                for p in h.accepted {
-                    m.tree_ports.insert(p);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Phase B: Borůvka over the BFS tree, components merged at the
     /// leader. Returns the leader's `T_F` edge reports.
     fn mst_phase_b(&mut self) -> Result<Vec<ReportItem>, MinCutError> {
@@ -1116,11 +910,12 @@ impl<'g> Pipeline<'g> {
         }
         let mut iter = 0usize;
         loop {
-            // Exchange (component, fragment) labels — same delta
-            // discipline as `mstA.*.exch`: iteration 0 announces
-            // everywhere (and thereby refreshes the port fragment view
-            // with the final phase-A fragments); afterwards only nodes
-            // whose component was remapped speak.
+            // Exchange (component, fragment) labels, delta discipline:
+            // a node announces only when its pair changed since its last
+            // announcement. Iteration 0 announces everywhere (and
+            // thereby refreshes the port fragment view with the final
+            // phase-A fragments); afterwards only nodes whose component
+            // was remapped speak.
             let name = format!("mstB.i{iter}.exch");
             let inputs: Vec<Option<CompMsg>> = self
                 .mems
@@ -1784,38 +1579,26 @@ impl<'g> Pipeline<'g> {
 }
 
 /// Runs the packing pipeline; see [`PipelineOpts`].
-pub(crate) fn run_pipeline(
-    g: &WeightedGraph,
-    opts: &PipelineOpts,
-) -> Result<PipelineOutcome, MinCutError> {
-    run_pipeline_traced(g, opts).map_err(|(e, _)| e)
-}
-
-/// [`run_pipeline`] that surrenders the metrics ledger accumulated up to
-/// the point of failure alongside the error. The self-healing driver
-/// ([`crate::dist::recover`]) needs both: the typed
+///
+/// `resume` and `log` are the self-healing driver's checkpoint seam:
+/// `resume` restores pre-validated structures from an earlier attempt's
+/// [`RecoveryLog`] (skipping the stages that produced them), and `log`
+/// captures this attempt's own stage outputs as they complete. Callers
+/// outside [`crate::dist::recover`] pass `None` for both and pay nothing
+/// for the seam.
+///
+/// On failure the metrics ledger accumulated up to that point rides
+/// along with the error. The self-healing driver needs both: the typed
 /// [`congest::CongestError::NodeSuspected`] carries the virtual-round
 /// clock for rebasing the crash schedule, and the partial ledger is what
 /// makes an aborted attempt's cost visible in the merged accounting.
-pub(crate) fn run_pipeline_traced(
-    g: &WeightedGraph,
-    opts: &PipelineOpts,
-) -> Result<PipelineOutcome, (MinCutError, MetricsLedger)> {
-    run_pipeline_checkpointed(g, opts, None, None)
-}
-
-/// [`run_pipeline_traced`] with the self-healing driver's checkpoint
-/// seam: `resume` restores pre-validated structures from an earlier
-/// attempt's [`RecoveryLog`] (skipping the stages that produced them),
-/// and `log` captures this attempt's own stage outputs as they
-/// complete. Both default to off — `exact_mincut` and the baselines pay
-/// nothing for the seam.
-pub(crate) fn run_pipeline_checkpointed(
+/// Other callers drop the ledger.
+pub(crate) fn run_pipeline(
     g: &WeightedGraph,
     opts: &PipelineOpts,
     resume: Option<&ResumeSpec>,
     log: Option<&mut RecoveryLog>,
-) -> Result<PipelineOutcome, (MinCutError, MetricsLedger)> {
+) -> Result<DistMinCutResult, (MinCutError, MetricsLedger)> {
     let n = g.node_count();
     if n < 2 {
         return Err((MinCutError::TooSmall { nodes: n }, MetricsLedger::new()));
@@ -1903,14 +1686,14 @@ pub(crate) fn run_pipeline_checkpointed(
 
 /// The packing loop proper, on an initialised pipeline: packs trees until
 /// the target is met and assembles the outcome. Split out of
-/// [`run_pipeline_traced`] so a failure leaves `pl` — and its ledger —
+/// [`run_pipeline`] so a failure leaves `pl` — and its ledger —
 /// accessible to the caller.
 fn drive_packing(
     pl: &mut Pipeline<'_>,
     opts: &PipelineOpts,
     resume: Option<&ResumeSpec>,
     mut log: Option<&mut RecoveryLog>,
-) -> Result<PipelineOutcome, MinCutError> {
+) -> Result<DistMinCutResult, MinCutError> {
     let n = pl.n;
     if let Some(log) = log.as_deref_mut() {
         log.leader = Some(pl.leader.raw());
@@ -2018,7 +1801,7 @@ fn drive_packing(
         cut.value,
         "the announced side must evaluate to the announced value"
     );
-    Ok(PipelineOutcome {
+    Ok(DistMinCutResult {
         cut,
         trees_packed: packed,
         trees_to_best,
@@ -2192,14 +1975,7 @@ mod tests {
     #[test]
     fn fixed_packing_size_is_respected() {
         let g = generators::torus2d(4, 4).unwrap();
-        let outcome = run_pipeline(
-            &g,
-            &PipelineOpts {
-                target: PackingTarget::Fixed(2),
-                ..opts_fixed(2)
-            },
-        )
-        .unwrap();
+        let outcome = run_pipeline(&g, &opts_fixed(2), None, None).unwrap();
         assert_eq!(outcome.trees_packed, 2);
         assert!(outcome.cut.is_proper());
     }

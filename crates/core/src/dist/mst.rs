@@ -7,14 +7,19 @@
 //! [`trees::mst::kruskal_by`] tree):
 //!
 //! * **Phase A (`mstA.*`) — capped local growth.** Fragments grow by
-//!   Borůvka hooking with a size cap of `√n`: each level, every live
-//!   fragment finds its minimum outgoing edge (convergecast over the
-//!   fragment tree), flips a deterministic shared coin, and *tails*
-//!   fragments hook into their target when the target is *heads* or
-//!   already frozen (size ≥ cap). Heads/tails mating keeps hook chains at
-//!   length one, so a level costs `O(fragment diameter)` rounds and all
-//!   fragments run in parallel. After `O(log n)` levels every fragment
-//!   has ≥ `√n` nodes, so at most `√n` fragments remain.
+//!   Borůvka hooking with a size cap of `√n`. Each level refreshes the
+//!   fragment labels across fragment boundaries (`.exch`), then runs one
+//!   fused up-then-down pass over every unfrozen fragment tree (`.cd`):
+//!   the minimum outgoing edge and the fragment size converge at the
+//!   root, which freezes the fragment at the cap or decides by the
+//!   deterministic [`hooks_toward`] mating rule whether to hook, and
+//!   sends the decision back down only when the fragment acts. Hooking
+//!   fragments then re-root into their targets (`.hook`). The mating
+//!   rule admits no 2-cycles, so hook chains have length one, a level
+//!   costs `O(fragment diameter)` rounds, and all fragments run in
+//!   parallel; frozen fragments sit every later level out. After
+//!   `O(log n)` levels every fragment has ≥ `√n` nodes, so at most `√n`
+//!   fragments remain.
 //! * **Phase B (`mstB.*`) — Borůvka through the leader.** With `k ≤ √n`
 //!   fragments left, each iteration aggregates the per-component minimum
 //!   outgoing edge at the leader with one pipelined grouped argmin over
@@ -26,58 +31,21 @@
 //!   needs.
 //!
 //! This module holds the node-side algorithms and wire types; the phase
-//! sequencing lives in [`crate::dist::driver`].
+//! sequencing lives in [`crate::dist::driver`], and `docs/mst.md`
+//! explains the phase-A protocol in full.
 
 use crate::dist::packing::Cand;
 use congest::message::TAG_BITS;
 use congest::primitives::grouped_min::KeyedItem;
 use congest::{value_bits, Algorithm, FinishResult, Message, NodeCtx, Outbox, Port, Step};
 
-/// Which phase-A engine [`crate::dist::driver`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MstAMode {
-    /// The PR 1–7 protocol: per-level full label delta-exchange, counting
-    /// convergecast (`.cand`), separate decision broadcast (`.dec`), and
-    /// shared-coin heads/tails mating. Kept as the parity oracle.
-    Legacy,
-    /// The fused protocol: per-port boundary-only label exchange with
-    /// local relabel inference, one up-then-down `.cd` pass with
-    /// depth-scheduled delta-convergecast (silence = unchanged, silence
-    /// down = no hook), frozen fragments out of the loop entirely, and
-    /// deterministic lowest-differing-bit fragment mating (no coins).
-    /// Same outputs, a fraction of the messages. See `docs/mst.md`.
-    #[default]
-    Optimized,
-}
-
 /// Configuration of the distributed MST stage.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MstConfig {
     /// Fragment size cap of phase A; `None` derives the paper's `⌈√n⌉`.
     /// Smaller caps mean more (cheaper) fragments, larger caps fewer
     /// (deeper) ones — experiment E8 sweeps this.
     pub cap: Option<usize>,
-    /// Safety cap on phase-A levels (the heads/tails mating argument
-    /// finishes in `O(log n)` levels with overwhelming probability; any
-    /// fragments still small after `max_levels` are simply handed to
-    /// phase B, which remains correct).
-    pub max_levels: usize,
-    /// Seed of the deterministic shared fragment coins (legacy mating
-    /// only; the optimized mode is coin-free).
-    pub seed: u64,
-    /// Which phase-A engine to run.
-    pub mode: MstAMode,
-}
-
-impl Default for MstConfig {
-    fn default() -> Self {
-        MstConfig {
-            cap: None,
-            max_levels: 96,
-            seed: 0x4d53_5431,
-            mode: MstAMode::default(),
-        }
-    }
 }
 
 impl MstConfig {
@@ -88,40 +56,27 @@ impl MstConfig {
             None => (n as f64).sqrt().ceil() as usize,
         }
     }
-
-    /// The deterministic shared coin of `frag` at `level`: `true` =
-    /// heads (accepts hooks), `false` = tails (tries to hook). Every
-    /// node can evaluate any fragment's coin locally — the coins are
-    /// public randomness derived from the seed, which is the standard
-    /// shared-coin assumption. Legacy mating only.
-    pub fn heads(&self, frag: u32, level: usize) -> bool {
-        crate::seq::sampling::splitmix64(
-            self.seed ^ (level as u64).wrapping_mul(0x9E37_79B9) ^ frag as u64,
-        ) & 1
-            == 0
-    }
 }
 
-/// The optimized mode's deterministic mating rule — a one-shot
-/// Cole–Vishkin-style symmetry breaker on the fragment choice graph.
-/// Fragment `frag`, whose minimum outgoing edge leads to (unfrozen)
-/// fragment `target`, hooks along it iff `frag`'s bit is `0` at the
-/// *lowest differing bit position* of the two ids.
+/// Phase A's deterministic mating rule — a one-shot Cole–Vishkin-style
+/// symmetry breaker on the fragment choice graph. Fragment `frag`, whose
+/// minimum outgoing edge leads to (unfrozen) fragment `target`, hooks
+/// along it iff `frag`'s bit is `0` at the *lowest differing bit
+/// position* of the two ids.
 ///
-/// Two properties replace the coin argument:
+/// Two properties make the rule correct and live:
 ///
 /// * **No 2-cycles.** For any unordered pair `{F, T}` the rule fires in
 ///   exactly one direction (the differing bit is `0` on exactly one
 ///   side), so two fragments that choose each other — in particular the
 ///   two endpoints of a GHS *core* edge — never both hook: one hooks,
 ///   the other is not hooking and therefore accepts. Hook chains have
-///   length one, exactly the invariant the coins bought, but now on
-///   *every* level instead of in expectation.
+///   length one on every level.
 /// * **Progress.** In each choice-graph component the minimum-key edge
 ///   is the minimum outgoing edge of *both* endpoints (keys are a total
 ///   order), and by the point above exactly one endpoint hooks along it
 ///   and the other accepts — every component merges at least one pair
-///   per level, so phase A still finishes in `O(log n)` levels,
+///   per level, so phase A finishes in `O(log n)` levels,
 ///   deterministically.
 pub fn hooks_toward(frag: u32, target: u32) -> bool {
     debug_assert_ne!(frag, target, "choice edges join distinct fragments");
@@ -130,7 +85,7 @@ pub fn hooks_toward(frag: u32, target: u32) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Phase A wire types
+// Phase A: label refresh (`mstA.*.exch`)
 // ---------------------------------------------------------------------------
 
 /// The `mstA.*.exch` payload: the sender's fragment and frozen state.
@@ -148,52 +103,12 @@ impl Message for FragMsg {
     }
 }
 
-/// An annotated phase-A candidate: the edge's packing key plus whether
-/// the fragment across it is frozen (frozen targets accept hooks
-/// unconditionally, so tails/heads mating is unnecessary there).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ACand {
-    /// The candidate edge's key fields.
-    pub cand: Cand,
-    /// The fragment across the edge is frozen.
-    pub target_frozen: bool,
-}
+// ---------------------------------------------------------------------------
+// Phase A: fused candidate/decision round-trip (`mstA.*.cd`)
+// ---------------------------------------------------------------------------
 
-/// The better (smaller-key) of two optional annotated candidates.
-pub fn better_a(a: Option<ACand>, b: Option<ACand>) -> Option<ACand> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(if x.cand.key() <= y.cand.key() { x } else { y }),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-/// Aggregate carried up the fragment tree in `mstA.*.cand`: subtree size
-/// plus the best outgoing candidate seen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CandAgg {
-    /// Nodes in the subtree.
-    pub size: u64,
-    /// Best outgoing edge in the subtree, if any.
-    pub cand: Option<ACand>,
-}
-
-impl congest::primitives::Aggregate for CandAgg {
-    fn combine(&self, other: &Self) -> Self {
-        CandAgg {
-            size: self.size + other.size,
-            cand: better_a(self.cand, other.cand),
-        }
-    }
-
-    fn bits(&self) -> usize {
-        // Presence bit + candidate fields + frozen flag.
-        value_bits(self.size) + 1 + self.cand.map_or(0, |c| c.cand.bits() + 1)
-    }
-}
-
-/// The per-fragment decision broadcast down the fragment tree in
-/// `mstA.*.dec`.
+/// A fragment root's decision, sent down the fragment tree in the `.cd`
+/// pass (as [`CdMsg::Dec`]) only when the fragment freezes or hooks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecMsg {
     /// The fragment has reached the size cap.
@@ -202,255 +117,11 @@ pub struct DecMsg {
     pub hook_edge: Option<u32>,
 }
 
-impl Message for DecMsg {
-    fn bit_len(&self) -> usize {
-        TAG_BITS + 2 + self.hook_edge.map_or(0, |e| value_bits(e as u64))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Phase A hook handshake + re-root flood
-// ---------------------------------------------------------------------------
-
-/// A node's role in one `mstA.*.hook` phase.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HookRole {
-    /// The chosen endpoint of a tails fragment's hook edge.
-    Connector {
-        /// Port of the hook edge.
-        port: Port,
-        /// Fragment id on the other side (learned in the exchange).
-        target_frag: u32,
-    },
-    /// Other member of a hooking fragment: awaits the re-root flood.
-    Await,
-    /// Member of a fragment that is not hooking this level.
-    Passive,
-}
-
-/// Input of [`FragHook`].
-#[derive(Clone, Debug)]
-pub struct HookInput {
-    /// Current in-fragment tree ports (undirected set: parent + children).
-    pub tree_ports: Vec<Port>,
-    /// This node's role.
-    pub role: HookRole,
-    /// Whether this node's fragment accepts incoming hooks this level
-    /// (fragment is heads or frozen).
-    pub eligible: bool,
-    /// Whether this node's fragment is frozen (echoed in grants so the
-    /// absorbed fragment adopts the state).
-    pub frozen: bool,
-}
-
-/// Output of [`FragHook`].
-#[derive(Clone, Debug, Default)]
-pub struct HookOutput {
-    /// `Some((f, frozen))`: the fragment re-rooted, adopting fragment id
-    /// `f` and the target fragment's frozen state.
-    pub new_frag: Option<(u32, bool)>,
-    /// New parent port after a re-root (the hook port at the connector).
-    pub new_parent: Option<Port>,
-    /// Hook ports accepted from other fragments (new child tree edges).
-    pub accepted: Vec<Port>,
-}
-
-/// Messages of [`FragHook`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HookMsg {
-    /// "My (tails) fragment wants to merge along this edge."
-    Request,
-    /// "Granted — adopt my fragment id." Carries the granting fragment's
-    /// frozen state so absorbed members know whether to keep competing.
-    Accept {
-        /// The granting fragment is already frozen.
-        frozen: bool,
-    },
-    /// "Denied — my fragment is tails too, try another level."
-    Reject,
-    /// Re-root flood: adopt fragment `frag`, parent = arrival port.
-    Reroot {
-        /// The adopted fragment id.
-        frag: u32,
-        /// The adopted fragment's frozen state.
-        frozen: bool,
-    },
-    /// The hook was rejected: keep the old tree, stop waiting.
-    Keep,
-}
-
-impl Message for HookMsg {
-    fn bit_len(&self) -> usize {
-        TAG_BITS
-            + match self {
-                HookMsg::Accept { .. } => 1,
-                HookMsg::Reroot { frag, .. } => 1 + value_bits(*frag as u64),
-                _ => 0,
-            }
-    }
-}
-
-/// One level's hook handshake: connectors fire a request at boot, targets
-/// grant or deny in round 1 based on their fragment's coin, and granted
-/// fragments re-root toward the hook edge with an in-fragment flood.
-///
-/// **Mutual choices** (two tails fragments whose minimum outgoing edges
-/// coincide — GHS "core" edges) merge unconditionally: both connectors
-/// see each other's request on the hook edge in round 1 and the
-/// larger-id fragment re-roots into the smaller. Every choice-graph
-/// component contains such a core edge, so each level makes progress
-/// regardless of the coins.
-///
-/// Rounds: `2 + fragment diameter`; all fragments in parallel.
-#[derive(Clone, Debug, Default)]
-pub struct FragHook;
-
-/// Node state for [`FragHook`].
-#[derive(Debug)]
-pub struct HookState {
-    input: HookInput,
-    my_frag: u32,
-    out: HookOutput,
-}
-
-impl Algorithm for FragHook {
-    type Input = (HookInput, u32);
-    type State = HookState;
-    type Msg = HookMsg;
-    type Output = HookOutput;
-
-    fn boot(
-        &self,
-        _ctx: &NodeCtx<'_>,
-        (input, my_frag): Self::Input,
-    ) -> (HookState, Outbox<HookMsg>) {
-        let mut out = Outbox::new();
-        if let HookRole::Connector { port, .. } = input.role {
-            out.send(port, HookMsg::Request);
-        }
-        (
-            HookState {
-                input,
-                my_frag,
-                out: HookOutput::default(),
-            },
-            out,
-        )
-    }
-
-    fn round(
-        &self,
-        s: &mut HookState,
-        _ctx: &NodeCtx<'_>,
-        inbox: &[(Port, HookMsg)],
-    ) -> Step<HookMsg> {
-        let mut out = Outbox::new();
-        let hook_port = match s.input.role {
-            HookRole::Connector { port, .. } => Some(port),
-            _ => None,
-        };
-        // Requests only ever arrive in round 1 (sent at boot). A request
-        // on the connector's own hook port is the mutual case, handled in
-        // the connector logic below instead of being answered.
-        for (port, msg) in inbox {
-            if matches!(msg, HookMsg::Request) && Some(*port) != hook_port {
-                if s.input.eligible {
-                    s.out.accepted.push(*port);
-                    out.send(
-                        *port,
-                        HookMsg::Accept {
-                            frozen: s.input.frozen,
-                        },
-                    );
-                } else {
-                    out.send(*port, HookMsg::Reject);
-                }
-            }
-        }
-        match s.input.role.clone() {
-            HookRole::Passive => {
-                // Nothing else can reach a passive node after round 1.
-                return Step::Halt(out);
-            }
-            HookRole::Connector { port, target_frag } => {
-                let mutual = inbox
-                    .iter()
-                    .any(|(p, m)| *p == port && matches!(m, HookMsg::Request));
-                if mutual {
-                    // Core edge: merge now, larger fragment id yields.
-                    // Both sides are tails, hence unfrozen.
-                    let flood = if s.my_frag > target_frag {
-                        s.out.new_frag = Some((target_frag, false));
-                        s.out.new_parent = Some(port);
-                        HookMsg::Reroot {
-                            frag: target_frag,
-                            frozen: false,
-                        }
-                    } else {
-                        s.out.accepted.push(port);
-                        HookMsg::Keep
-                    };
-                    for &p in &s.input.tree_ports {
-                        out.send(p, flood);
-                    }
-                    return Step::Halt(out);
-                }
-                let reply = inbox.iter().find_map(|(p, m)| {
-                    (*p == port && matches!(m, HookMsg::Accept { .. } | HookMsg::Reject))
-                        .then_some(*m)
-                });
-                if let Some(reply) = reply {
-                    let flood = if let HookMsg::Accept { frozen } = reply {
-                        s.out.new_frag = Some((target_frag, frozen));
-                        s.out.new_parent = Some(port);
-                        HookMsg::Reroot {
-                            frag: target_frag,
-                            frozen,
-                        }
-                    } else {
-                        HookMsg::Keep
-                    };
-                    for &p in &s.input.tree_ports {
-                        out.send(p, flood);
-                    }
-                    return Step::Halt(out);
-                }
-            }
-            HookRole::Await => {
-                let flood = inbox.iter().find_map(|(p, m)| {
-                    matches!(m, HookMsg::Reroot { .. } | HookMsg::Keep).then_some((*p, *m))
-                });
-                if let Some((from, msg)) = flood {
-                    if let HookMsg::Reroot { frag, frozen } = msg {
-                        s.out.new_frag = Some((frag, frozen));
-                        s.out.new_parent = Some(from);
-                    }
-                    for &p in &s.input.tree_ports {
-                        if p != from {
-                            out.send(p, msg);
-                        }
-                    }
-                    return Step::Halt(out);
-                }
-            }
-        }
-        Step::Continue(out)
-    }
-
-    fn finish(&self, s: HookState, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput> {
-        Ok(s.out)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Optimized phase A: fused cand/dec round-trip (`mstA.*.cd`)
-// ---------------------------------------------------------------------------
-
-/// The optimized phase-A candidate: the edge's packing key plus the
-/// fragment across it — the root needs the target's *id* to evaluate
+/// A phase-A candidate: the edge's packing key plus the fragment across
+/// it — the root needs the target's *id* to evaluate
 /// [`hooks_toward`] and its frozen state for the unconditional-hook rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptCand {
+pub struct MoeCand {
     /// The candidate edge's key fields.
     pub cand: Cand,
     /// Fragment id across the edge.
@@ -459,8 +130,8 @@ pub struct OptCand {
     pub target_frozen: bool,
 }
 
-/// The better (smaller-key) of two optional optimized candidates.
-pub fn better_opt(a: Option<OptCand>, b: Option<OptCand>) -> Option<OptCand> {
+/// The better (smaller-key) of two optional phase-A candidates.
+pub fn better_moe(a: Option<MoeCand>, b: Option<MoeCand>) -> Option<MoeCand> {
     match (a, b) {
         (Some(x), Some(y)) => Some(if x.cand.key() <= y.cand.key() { x } else { y }),
         (x, None) => x,
@@ -469,22 +140,22 @@ pub fn better_opt(a: Option<OptCand>, b: Option<OptCand>) -> Option<OptCand> {
 }
 
 /// The subtree aggregate of the fused pass: size plus best outgoing
-/// candidate. Unlike [`CandAgg`] this is a *wire* type (the `.cd` pass
-/// does its own delta-scheduled aggregation instead of going through the
-/// counting [`congest::primitives::Convergecast`]).
+/// candidate. This is a *wire* type: the `.cd` pass does its own
+/// delta-scheduled aggregation instead of going through the counting
+/// [`congest::primitives::Convergecast`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptAgg {
+pub struct MoeAgg {
     /// Nodes in the subtree.
     pub size: u64,
     /// Best outgoing edge in the subtree, if any.
-    pub cand: Option<OptCand>,
+    pub cand: Option<MoeCand>,
 }
 
 /// Messages of [`CandDec`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CdMsg {
     /// Subtree aggregate, child → parent (only when changed).
-    Up(OptAgg),
+    Up(MoeAgg),
     /// Fragment decision, parent → child (only when hooking or freezing).
     Dec(DecMsg),
 }
@@ -524,15 +195,15 @@ pub struct CdInput {
     /// Frozen fragments sit the pass out entirely (level skip).
     pub frozen: bool,
     /// This node's best local outgoing candidate.
-    pub local: Option<OptCand>,
+    pub local: Option<MoeCand>,
     /// This node's tree links flipped since the last level (re-root
     /// path): send unconditionally so the (possibly new) parent's cache
     /// entry is refreshed.
     pub purge: bool,
     /// The aggregate last sent up (`None` before the first send).
-    pub sent: Option<OptAgg>,
+    pub sent: Option<MoeAgg>,
     /// Last aggregate received per port (children caches).
-    pub children: Vec<Option<OptAgg>>,
+    pub children: Vec<Option<MoeAgg>>,
 }
 
 /// Output of [`CandDec`] for one node.
@@ -543,9 +214,9 @@ pub struct CdOutput {
     /// neither hooks nor freezes this level (the silent default).
     pub dec: Option<DecMsg>,
     /// Updated `sent` cache, to persist in `NodeMem`.
-    pub sent: Option<OptAgg>,
+    pub sent: Option<MoeAgg>,
     /// Updated children caches, to persist in `NodeMem`.
-    pub children: Vec<Option<OptAgg>>,
+    pub children: Vec<Option<MoeAgg>>,
 }
 
 /// The fused cand/dec round-trip (`mstA.l*.cd`): one up-then-down pass
@@ -568,8 +239,7 @@ pub struct CdOutput {
 /// directions.
 ///
 /// Rounds: `maxdepth + depth` per node, ≤ `2·maxdepth` + 1 total —
-/// the same order as the counting convergecast plus broadcast it fuses,
-/// one phase instead of two.
+/// the order of a convergecast followed by a broadcast, in one phase.
 #[derive(Clone, Debug, Default)]
 pub struct CandDec;
 
@@ -584,22 +254,22 @@ impl CdState {
     /// Own value + cached child aggregates. Every current child has a
     /// live cache entry by this node's send slot: unchanged children
     /// carried one over, restructured children were forced to speak.
-    fn compute(&self) -> OptAgg {
-        let mut agg = OptAgg {
+    fn compute(&self) -> MoeAgg {
+        let mut agg = MoeAgg {
             size: 1,
             cand: self.input.local,
         };
         for &p in &self.input.tree.children {
             if let Some(c) = &self.input.children[p.index()] {
                 agg.size += c.size;
-                agg.cand = better_opt(agg.cand, c.cand);
+                agg.cand = better_moe(agg.cand, c.cand);
             }
         }
         agg
     }
 
     /// The root's per-fragment decision on its completed aggregate.
-    fn decide(&self, agg: OptAgg) -> Option<DecMsg> {
+    fn decide(&self, agg: MoeAgg) -> Option<DecMsg> {
         let frozen = agg.size >= self.input.cap;
         let hook_edge = if frozen {
             None
@@ -699,34 +369,47 @@ impl Algorithm for CandDec {
 }
 
 // ---------------------------------------------------------------------------
-// Optimized phase A: depth-carrying hook handshake (`mstA.*.hook`)
+// Phase A: hook handshake + re-root flood (`mstA.*.hook`)
 // ---------------------------------------------------------------------------
 
-/// Input of [`FragHook2`] — [`HookInput`] plus this node's fragment-tree
-/// depth (so grants and re-root floods can maintain depths for the next
-/// level's `.cd` schedule).
+/// A node's role in one `mstA.*.hook` phase.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum HookRole {
+    /// The endpoint of a hooking fragment's chosen edge.
+    Connector {
+        /// Port of the hook edge.
+        port: Port,
+        /// Fragment id on the other side (learned in the exchange).
+        target_frag: u32,
+    },
+    /// Other member of a hooking fragment: awaits the re-root flood.
+    Await,
+    /// Member of a fragment that is not hooking this level.
+    Passive,
+}
+
+/// Input of [`FragHook`] for one node.
 #[derive(Clone, Debug)]
-pub struct HookInput2 {
+pub struct HookInput {
     /// Current in-fragment tree ports (undirected set: parent + children).
     pub tree_ports: Vec<Port>,
     /// This node's role.
     pub role: HookRole,
-    /// Whether this node's fragment accepts incoming hooks this level.
-    /// Optimized mating: *every* fragment that is not itself hooking
-    /// accepts (frozen included) — [`hooks_toward`] guarantees no
-    /// 2-cycles, so no coin filter is needed.
+    /// Whether this node's fragment accepts incoming hooks this level:
+    /// *every* fragment that is not itself hooking accepts (frozen
+    /// included) — [`hooks_toward`] guarantees no 2-cycles.
     pub eligible: bool,
     /// Whether this node's fragment is frozen (echoed in grants so the
     /// absorbed fragment adopts the state).
     pub frozen: bool,
-    /// This node's depth in its fragment tree.
+    /// This node's depth in its fragment tree (grants and re-root
+    /// floods maintain depths for the next level's `.cd` schedule).
     pub depth: u32,
 }
 
-/// Output of [`FragHook2`]: [`HookOutput`] plus the node's new depth
-/// after a re-root.
+/// Output of [`FragHook`] for one node.
 #[derive(Clone, Debug, Default)]
-pub struct HookOutput2 {
+pub struct HookOutput {
     /// `Some((f, frozen))`: the fragment re-rooted, adopting fragment id
     /// `f` and the target fragment's frozen state.
     pub new_frag: Option<(u32, bool)>,
@@ -738,9 +421,9 @@ pub struct HookOutput2 {
     pub new_depth: Option<u32>,
 }
 
-/// Messages of [`FragHook2`].
+/// Messages of [`FragHook`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Hook2Msg {
+pub enum HookMsg {
     /// "My fragment's mating rule chose this edge."
     Request,
     /// "Granted — adopt my fragment id." Carries the granting fragment's
@@ -768,12 +451,12 @@ pub enum Hook2Msg {
     Keep,
 }
 
-impl Message for Hook2Msg {
+impl Message for HookMsg {
     fn bit_len(&self) -> usize {
         TAG_BITS
             + match self {
-                Hook2Msg::Accept { depth, .. } => 1 + value_bits(*depth as u64),
-                Hook2Msg::Reroot { frag, depth, .. } => {
+                HookMsg::Accept { depth, .. } => 1 + value_bits(*depth as u64),
+                HookMsg::Reroot { frag, depth, .. } => {
                     1 + value_bits(*frag as u64) + value_bits(*depth as u64)
                 }
                 _ => 0,
@@ -781,37 +464,38 @@ impl Message for Hook2Msg {
     }
 }
 
-/// The optimized level's hook handshake: [`FragHook`] with deterministic
-/// mating and depth maintenance. Because [`hooks_toward`] admits no
-/// 2-cycles, the mutual (core-edge) special case of the legacy protocol
-/// cannot arise: on a core edge exactly one side is the connector and
-/// the other side accepts like any target. Rounds: `2 + fragment
-/// diameter`; all fragments in parallel.
+/// One level's hook handshake: connectors fire a request at boot,
+/// targets grant in round 1 unless their own fragment is hooking, and
+/// granted fragments re-root toward the hook edge with an in-fragment
+/// flood that also recomputes depths. Because [`hooks_toward`] admits no
+/// 2-cycles, two fragments never request each other: on a GHS core edge
+/// exactly one side is the connector and the other side accepts like any
+/// target. Rounds: `2 + fragment diameter`; all fragments in parallel.
 #[derive(Clone, Debug, Default)]
-pub struct FragHook2;
+pub struct FragHook;
 
-/// Node state for [`FragHook2`].
+/// Node state for [`FragHook`].
 #[derive(Debug)]
-pub struct Hook2State {
-    input: HookInput2,
-    out: HookOutput2,
+pub struct HookState {
+    input: HookInput,
+    out: HookOutput,
 }
 
-impl Algorithm for FragHook2 {
-    type Input = HookInput2;
-    type State = Hook2State;
-    type Msg = Hook2Msg;
-    type Output = HookOutput2;
+impl Algorithm for FragHook {
+    type Input = HookInput;
+    type State = HookState;
+    type Msg = HookMsg;
+    type Output = HookOutput;
 
-    fn boot(&self, _ctx: &NodeCtx<'_>, input: HookInput2) -> (Hook2State, Outbox<Hook2Msg>) {
+    fn boot(&self, _ctx: &NodeCtx<'_>, input: HookInput) -> (HookState, Outbox<HookMsg>) {
         let mut out = Outbox::new();
         if let HookRole::Connector { port, .. } = input.role {
-            out.send(port, Hook2Msg::Request);
+            out.send(port, HookMsg::Request);
         }
         (
-            Hook2State {
+            HookState {
                 input,
-                out: HookOutput2::default(),
+                out: HookOutput::default(),
             },
             out,
         )
@@ -819,10 +503,10 @@ impl Algorithm for FragHook2 {
 
     fn round(
         &self,
-        s: &mut Hook2State,
+        s: &mut HookState,
         _ctx: &NodeCtx<'_>,
-        inbox: &[(Port, Hook2Msg)],
-    ) -> Step<Hook2Msg> {
+        inbox: &[(Port, HookMsg)],
+    ) -> Step<HookMsg> {
         let mut out = Outbox::new();
         let hook_port = match s.input.role {
             HookRole::Connector { port, .. } => Some(port),
@@ -832,7 +516,7 @@ impl Algorithm for FragHook2 {
         // rule fires in one direction per fragment pair, so a request can
         // never arrive on the connector's own hook port.
         for (port, msg) in inbox {
-            if matches!(msg, Hook2Msg::Request) {
+            if matches!(msg, HookMsg::Request) {
                 debug_assert_ne!(
                     Some(*port),
                     hook_port,
@@ -842,13 +526,13 @@ impl Algorithm for FragHook2 {
                     s.out.accepted.push(*port);
                     out.send(
                         *port,
-                        Hook2Msg::Accept {
+                        HookMsg::Accept {
                             frozen: s.input.frozen,
                             depth: s.input.depth,
                         },
                     );
                 } else {
-                    out.send(*port, Hook2Msg::Reject);
+                    out.send(*port, HookMsg::Reject);
                 }
             }
         }
@@ -859,21 +543,21 @@ impl Algorithm for FragHook2 {
             }
             HookRole::Connector { port, target_frag } => {
                 let reply = inbox.iter().find_map(|(p, m)| {
-                    (*p == port && matches!(m, Hook2Msg::Accept { .. } | Hook2Msg::Reject))
+                    (*p == port && matches!(m, HookMsg::Accept { .. } | HookMsg::Reject))
                         .then_some(*m)
                 });
                 if let Some(reply) = reply {
-                    let flood = if let Hook2Msg::Accept { frozen, depth } = reply {
+                    let flood = if let HookMsg::Accept { frozen, depth } = reply {
                         s.out.new_frag = Some((target_frag, frozen));
                         s.out.new_parent = Some(port);
                         s.out.new_depth = Some(depth + 1);
-                        Hook2Msg::Reroot {
+                        HookMsg::Reroot {
                             frag: target_frag,
                             frozen,
                             depth: depth + 1,
                         }
                     } else {
-                        Hook2Msg::Keep
+                        HookMsg::Keep
                     };
                     for &p in &s.input.tree_ports {
                         out.send(p, flood);
@@ -883,10 +567,10 @@ impl Algorithm for FragHook2 {
             }
             HookRole::Await => {
                 let flood = inbox.iter().find_map(|(p, m)| {
-                    matches!(m, Hook2Msg::Reroot { .. } | Hook2Msg::Keep).then_some((*p, *m))
+                    matches!(m, HookMsg::Reroot { .. } | HookMsg::Keep).then_some((*p, *m))
                 });
                 if let Some((from, msg)) = flood {
-                    let fwd = if let Hook2Msg::Reroot {
+                    let fwd = if let HookMsg::Reroot {
                         frag,
                         frozen,
                         depth,
@@ -895,7 +579,7 @@ impl Algorithm for FragHook2 {
                         s.out.new_frag = Some((frag, frozen));
                         s.out.new_parent = Some(from);
                         s.out.new_depth = Some(depth + 1);
-                        Hook2Msg::Reroot {
+                        HookMsg::Reroot {
                             frag,
                             frozen,
                             depth: depth + 1,
@@ -915,7 +599,7 @@ impl Algorithm for FragHook2 {
         Step::Continue(out)
     }
 
-    fn finish(&self, s: Hook2State, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput2> {
+    fn finish(&self, s: HookState, _ctx: &NodeCtx<'_>) -> FinishResult<HookOutput> {
         Ok(s.out)
     }
 }
@@ -1029,24 +713,9 @@ mod tests {
         assert_eq!(cfg.effective_cap(36), 6);
         assert_eq!(cfg.effective_cap(144), 12);
         assert_eq!(cfg.effective_cap(50), 8); // ⌈7.07⌉
-        let fixed = MstConfig {
-            cap: Some(1),
-            ..Default::default()
-        };
+        let fixed = MstConfig { cap: Some(1) };
         // A cap below 2 would freeze singletons instantly; clamped.
         assert_eq!(fixed.effective_cap(100), 2);
-    }
-
-    #[test]
-    fn coins_are_deterministic_and_mixed() {
-        let cfg = MstConfig::default();
-        assert_eq!(cfg.heads(5, 3), cfg.heads(5, 3));
-        // Over many (frag, level) pairs both sides appear.
-        let heads = (0..64u32)
-            .flat_map(|f| (0..8usize).map(move |l| (f, l)))
-            .filter(|&(f, l)| cfg.heads(f, l))
-            .count();
-        assert!((128..384).contains(&heads), "heads = {heads}/512");
     }
 
     #[test]
@@ -1055,7 +724,7 @@ mod tests {
             frozen: true,
             hook_edge: Some(200),
         };
-        assert!(dec.bit_len() <= TAG_BITS + 2 + 8);
+        assert!(CdMsg::Dec(dec).bit_len() <= TAG_BITS + 2 + 8);
         let bc = BorCand {
             comp: 100,
             cand: Cand {
@@ -1073,10 +742,11 @@ mod tests {
         assert!(
             HookMsg::Reroot {
                 frag: 7,
-                frozen: true
+                frozen: true,
+                depth: 3
             }
             .bit_len()
-                <= TAG_BITS + 4
+                <= TAG_BITS + 6
         );
     }
 

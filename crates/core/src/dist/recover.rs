@@ -97,8 +97,7 @@
 //! byte-identical merged ledgers (asserted in `tests/self_healing.rs`).
 
 use crate::dist::driver::{
-    run_pipeline_checkpointed, ExactConfig, LoggedTree, PipelineOpts, RecoveryLog, RestoredTree,
-    ResumeSpec,
+    run_pipeline, ExactConfig, LoggedTree, PipelineOpts, RecoveryLog, RestoredTree, ResumeSpec,
 };
 use crate::dist::packing::PackingTarget;
 use crate::seq::stoer_wagner;
@@ -448,100 +447,85 @@ pub fn recover_mincut(
             election: cfg.base.election,
         };
         let mut attempt_log = RecoveryLog::default();
-        let err =
-            match run_pipeline_checkpointed(&cur, &opts, spec.as_ref(), Some(&mut attempt_log)) {
-                Ok(outcome) => {
-                    let oracle = if cfg.certify {
-                        let sw = stoer_wagner(&cur)?;
-                        if sw.value != outcome.cut.value {
-                            if spec.is_some() {
-                                // The safety valve: resumed evidence that
-                                // fails the oracle is discarded, the
-                                // poisoned attempt is booked as recovery
-                                // waste, and the epoch retries from
-                                // scratch. Stale checkpoints can cost
-                                // rounds, never correctness.
-                                for p in outcome.ledger.phases() {
-                                    let mut q = p.clone();
-                                    if !q.name.starts_with("recover.") {
-                                        q.name = format!("recover.e{epoch}.{}", q.name);
-                                    }
-                                    merged.push(q);
-                                }
-                                plan = plan.rebased(outcome.ledger.total_rounds());
-                                master = None;
-                                continue;
-                            }
-                            return Err(MinCutError::InvalidConfig {
-                                reason: format!(
-                                    "survivor certification failed: recovered λ = {} but the \
+        let err = match run_pipeline(&cur, &opts, spec.as_ref(), Some(&mut attempt_log)) {
+            Ok(outcome) => {
+                let oracle = if cfg.certify {
+                    let sw = stoer_wagner(&cur)?;
+                    if sw.value != outcome.cut.value {
+                        if spec.is_some() {
+                            // The safety valve: resumed evidence that
+                            // fails the oracle is discarded, the
+                            // poisoned attempt is booked as recovery
+                            // waste, and the epoch retries from
+                            // scratch. Stale checkpoints can cost
+                            // rounds, never correctness.
+                            merged.absorb(&outcome.ledger, Some(&format!("recover.e{epoch}.")));
+                            plan = plan.rebased(outcome.ledger.total_rounds());
+                            master = None;
+                            continue;
+                        }
+                        return Err(MinCutError::InvalidConfig {
+                            reason: format!(
+                                "survivor certification failed: recovered λ = {} but the \
                                  sequential oracle finds {} on the surviving subgraph",
-                                    outcome.cut.value, sw.value
-                                ),
-                            });
-                        }
-                        Some(sw.value)
-                    } else {
-                        None
-                    };
-                    for p in outcome.ledger.phases() {
-                        merged.push(p.clone());
+                                outcome.cut.value, sw.value
+                            ),
+                        });
                     }
-                    dead.sort_unstable();
-                    let wasted_rounds: Vec<u64> = (1..=epoch)
-                        .map(|k| {
-                            merged.rounds_matching(&format!("recover.e{k}."))
-                                + merged.rounds_matching(&format!("census.e{k}."))
-                        })
-                        .collect();
-                    let wasted_messages: Vec<u64> = (1..=epoch)
-                        .map(|k| {
-                            merged.messages_matching(&format!("recover.e{k}."))
-                                + merged.messages_matching(&format!("census.e{k}."))
-                        })
-                        .collect();
-                    return Ok(RecoveredMinCut {
-                        cut: outcome.cut,
-                        survivors: orig.iter().map(|&v| NodeId::new(v)).collect(),
-                        dead: dead.iter().map(|&v| NodeId::new(v)).collect(),
-                        rejoined: rejoined.iter().map(|&v| NodeId::new(v)).collect(),
-                        epochs: epoch,
-                        resumed_from: stage,
-                        oracle,
-                        rounds: merged.total_rounds(),
-                        messages: merged.total_messages(),
-                        recovery_rounds: merged.rounds_matching("recover.")
-                            + merged.rounds_matching("census."),
-                        recovery_messages: merged.messages_matching("recover.")
-                            + merged.messages_matching("census."),
-                        wasted_rounds,
-                        wasted_messages,
-                        ledger: merged,
-                    });
+                    Some(sw.value)
+                } else {
+                    None
+                };
+                merged.absorb(&outcome.ledger, None);
+                dead.sort_unstable();
+                let wasted_rounds: Vec<u64> = (1..=epoch)
+                    .map(|k| {
+                        merged.rounds_matching(&format!("recover.e{k}."))
+                            + merged.rounds_matching(&format!("census.e{k}."))
+                    })
+                    .collect();
+                let wasted_messages: Vec<u64> = (1..=epoch)
+                    .map(|k| {
+                        merged.messages_matching(&format!("recover.e{k}."))
+                            + merged.messages_matching(&format!("census.e{k}."))
+                    })
+                    .collect();
+                return Ok(RecoveredMinCut {
+                    cut: outcome.cut,
+                    survivors: orig.iter().map(|&v| NodeId::new(v)).collect(),
+                    dead: dead.iter().map(|&v| NodeId::new(v)).collect(),
+                    rejoined: rejoined.iter().map(|&v| NodeId::new(v)).collect(),
+                    epochs: epoch,
+                    resumed_from: stage,
+                    oracle,
+                    rounds: merged.total_rounds(),
+                    messages: merged.total_messages(),
+                    recovery_rounds: merged.rounds_matching("recover.")
+                        + merged.rounds_matching("census."),
+                    recovery_messages: merged.messages_matching("recover.")
+                        + merged.messages_matching("census."),
+                    wasted_rounds,
+                    wasted_messages,
+                    ledger: merged,
+                });
+            }
+            Err((e, attempt_ledger)) => {
+                // Resume validation phases are born with the
+                // `recover.` prefix; `absorb` never double-prefixes.
+                merged.absorb(&attempt_ledger, Some(&format!("recover.e{epoch}.")));
+                // Keep the richest coherent checkpoint snapshot: a
+                // deeper log supersedes; a shallower abort (it died
+                // before re-reaching the old depth) keeps the old one.
+                if attempt_log.bfs.is_some()
+                    && master
+                        .as_ref()
+                        .is_none_or(|m| attempt_log.trees.len() >= m.trees.len())
+                {
+                    master = Some(to_orig(&attempt_log, &orig, n0));
                 }
-                Err((e, attempt_ledger)) => {
-                    for p in attempt_ledger.phases() {
-                        let mut q = p.clone();
-                        // Resume validation phases are born with the
-                        // `recover.` prefix — never double-prefix.
-                        if !q.name.starts_with("recover.") {
-                            q.name = format!("recover.e{epoch}.{}", q.name);
-                        }
-                        merged.push(q);
-                    }
-                    // Keep the richest coherent checkpoint snapshot: a
-                    // deeper log supersedes; a shallower abort (it died
-                    // before re-reaching the old depth) keeps the old one.
-                    if attempt_log.bfs.is_some()
-                        && master
-                            .as_ref()
-                            .is_none_or(|m| attempt_log.trees.len() >= m.trees.len())
-                    {
-                        master = Some(to_orig(&attempt_log, &orig, n0));
-                    }
-                    e
-                }
-            };
+                e
+            }
+        };
         let MinCutError::Congest(CongestError::NodeSuspected { round, .. }) = &err else {
             // Non-crash failures (bandwidth, retransmission exhaustion,
             // degenerate inputs) are not recoverable by excision.
@@ -569,9 +553,7 @@ pub fn recover_mincut(
                 .outputs;
             let pass_rounds = net.ledger().total_rounds();
             net.obs_emit("census.pass", pass as u64);
-            for p in net.ledger().phases() {
-                merged.push(p.clone());
-            }
+            merged.absorb(net.ledger(), None);
             let mid_pass_death = census_plan
                 .crashes
                 .iter()
@@ -714,9 +696,7 @@ pub fn recover_mincut(
             let outs = net.run(&name, &JoinEcho::new(nn as u64), inputs)?.outputs;
             let join_rounds = net.ledger().total_rounds();
             net.obs_emit("census.join", rejoining.len() as u64);
-            for p in net.ledger().phases() {
-                merged.push(p.clone());
-            }
+            merged.absorb(net.ledger(), None);
             plan = plan.rebased(join_rounds);
             for &v in &rejoining {
                 if outs[v as usize] != Some(tag) {
@@ -811,6 +791,25 @@ mod tests {
         assert_eq!(r.ledger.total_false_suspicions(), 0, "lossless links");
     }
 
+    /// The merged ledger carries every session's host wall times: the
+    /// aborted attempt (`recover.*`), the census, and the successful
+    /// attempt all report the time their phases took.
+    #[test]
+    fn recovered_ledger_keeps_wall_times() {
+        let g = generators::torus2d(4, 4).unwrap();
+        let crash_at = rounds_before_mst(&g) + 2;
+        let plan = FaultPlan::lossless().with_crash(0, crash_at);
+        let r = recover_mincut(&g, &RecoverConfig::default().with_plan(plan)).unwrap();
+        assert_eq!(r.epochs, 2);
+        assert!(r.ledger.total_wall_ms() > 0.0);
+        for stem in ["recover", "census", "leader_bfs", "mstA", "side"] {
+            assert!(
+                r.ledger.wall_ms_of_stem(stem) > 0.0,
+                "stem {stem} lost its wall time in the merge"
+            );
+        }
+    }
+
     #[test]
     fn group_crash_excises_separated_survivors_too() {
         // A path: killing interior nodes separates the tail from the
@@ -887,7 +886,7 @@ mod tests {
             election: base.election,
         };
         let mut log = RecoveryLog::default();
-        let clean = run_pipeline_checkpointed(&g, &opts, None, Some(&mut log))
+        let clean = run_pipeline(&g, &opts, None, Some(&mut log))
             .map_err(|(e, _)| e)
             .unwrap();
         assert!(!log.trees.is_empty(), "the clean run checkpoints its trees");

@@ -1,32 +1,22 @@
-//! Phase-A mode parity: the optimized `mstA` (frozen-level skip, fused
-//! cand/dec convergecast, deterministic fragment mating) is a pure
-//! message-complexity optimization — on every instance it must produce
-//! **the same trees and the same cut** as the legacy protocol, because
-//! both resolve MOE ties by the shared weight-then-edge-id order and
-//! the MST under a total edge order is unique.
+//! Phase-A parity against the sequential oracle: the distributed MST of
+//! every packing iteration — capped fragment growth (`mstA`: boundary
+//! label refresh, fused cand/dec pass, deterministic mating) followed by
+//! Borůvka through the leader (`mstB`) — is **the** greedy packing tree,
+//! because the MST under the weight-then-edge-id total order is unique.
 //!
 //! What is asserted per drawn instance:
-//!  - identical MST edge sets, tree by tree (`tree_edges`),
-//!  - identical λ, cut side, tree counts, and arg-min node,
-//!  - identical per-phase metrics for every *structure-independent*
-//!    phase stem (election, degree census, and the value-level cut
-//!    machinery `s5f`, `s5g`, `side`), plus identical rounds/messages
-//!    for `s3` (its message *count* is 2m by construction, but the
-//!    payloads are per-fragment Euler in-times, so its bit tally is
-//!    fragment-relative).
+//!  - `tree_edges` equals the sorted `seq::tree_packing::greedy_packing`
+//!    trees, tree by tree;
+//!  - λ, cut side, tree counts, and arg-min node equal
+//!    `seq::tree_packing::packing_mincut` under the same packing config.
 //!
-//! Fragment-*dependent* stems (`mstA` itself, but also `mstB`, `orient`,
-//! `s2a`…`s5e`, `s4*`) are deliberately excluded from the ledger
-//! comparison: the two modes grow *different intermediate fragment
-//! decompositions* (deterministic mating hooks along different edges
-//! than the shared-coin heads/tails dance), so their per-level traffic
-//! differs even though the resulting tree — and everything computed
-//! from it — is identical. The suite proves exactly that boundary.
+//! A last test pins `mstA`'s message volume on two small instances as
+//! ceilings, so a protocol change that loses the frozen-level skip, the
+//! delta-silent `.cd` pass, or the boundary-only label refresh shows up
+//! here before it reaches `message_gate`.
 
-use congest::PhaseMetrics;
-use mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};
-use mincut::dist::mst::{MstAMode, MstConfig};
-use mincut::seq::tree_packing::{PackingConfig, PackingSize};
+use mincut::dist::driver::{exact_mincut, ExactConfig};
+use mincut::seq::tree_packing::{greedy_packing, packing_mincut, PackingConfig, PackingSize};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,66 +28,34 @@ fn random_tree(n: usize, rng: &mut StdRng) -> graphs::WeightedGraph {
     graphs::WeightedGraph::from_edges(n, edges).expect("valid tree")
 }
 
-/// Phase stems whose traffic cannot depend on which fragment
-/// decomposition phase A moved through: the election and degree census
-/// run before any tree exists, and the `s5f`/`s5g`/`side` stages move
-/// cut *values* over the BFS tree — both identical across modes.
-const STRUCTURE_INDEPENDENT: [&str; 5] = ["leader_bfs", "init", "s5f", "s5g", "side"];
-
-fn run(g: &graphs::WeightedGraph, mode: MstAMode, trees: usize) -> DistMinCutResult {
+fn assert_parity(tag: &str, g: &graphs::WeightedGraph, trees: usize) {
+    let packing = PackingConfig {
+        size: PackingSize::Fixed(trees),
+        max_trees: trees,
+    };
     let cfg = ExactConfig {
-        packing: PackingConfig {
-            size: PackingSize::Fixed(trees),
-            max_trees: trees,
-        },
-        mst: MstConfig {
-            mode,
-            ..Default::default()
-        },
+        packing: packing.clone(),
         ..Default::default()
     };
-    exact_mincut(g, &cfg).expect("pipeline runs")
-}
-
-fn stem_slice(r: &DistMinCutResult) -> Vec<&PhaseMetrics> {
-    r.ledger
-        .phases()
-        .iter()
-        .filter(|p| {
-            let stem = p.name.split('.').next().unwrap_or(&p.name);
-            STRUCTURE_INDEPENDENT.contains(&stem)
+    let dist = exact_mincut(g, &cfg).expect("pipeline runs");
+    let want: Vec<Vec<graphs::EdgeId>> = greedy_packing(g, trees)
+        .expect("sequential packing runs")
+        .into_iter()
+        .map(|mut t| {
+            t.sort_unstable();
+            t
         })
-        .collect()
-}
-
-fn assert_parity(tag: &str, g: &graphs::WeightedGraph, trees: usize) {
-    let legacy = run(g, MstAMode::Legacy, trees);
-    let opt = run(g, MstAMode::Optimized, trees);
-    assert_eq!(opt.tree_edges, legacy.tree_edges, "{tag}: MST edge sets");
-    assert_eq!(opt.cut.value, legacy.cut.value, "{tag}: lambda");
-    assert_eq!(opt.cut.side, legacy.cut.side, "{tag}: cut side");
-    assert_eq!(opt.trees_packed, legacy.trees_packed, "{tag}: trees");
+        .collect();
+    assert_eq!(dist.tree_edges, want, "{tag}: MST edge sets");
+    let seq = packing_mincut(g, &packing).expect("sequential pipeline runs");
+    assert_eq!(dist.cut.value, seq.cut.value, "{tag}: lambda");
+    assert_eq!(dist.cut.side, seq.cut.side, "{tag}: cut side");
+    assert_eq!(dist.trees_packed, seq.trees_packed, "{tag}: trees");
     assert_eq!(
-        opt.trees_to_best, legacy.trees_to_best,
+        dist.trees_to_best, seq.trees_to_best,
         "{tag}: trees_to_best"
     );
-    assert_eq!(opt.best_node, legacy.best_node, "{tag}: best_node");
-    assert_eq!(
-        stem_slice(&opt),
-        stem_slice(&legacy),
-        "{tag}: structure-independent phase metrics"
-    );
-    // s3's shape is graph-determined (one round, a message per directed
-    // edge) even though its payload bits are fragment-relative.
-    let s3 = |r: &DistMinCutResult| -> Vec<(u64, u64)> {
-        r.ledger
-            .phases()
-            .iter()
-            .filter(|p| p.name == "s3")
-            .map(|p| (p.rounds, p.messages))
-            .collect()
-    };
-    assert_eq!(s3(&opt), s3(&legacy), "{tag}: s3 rounds/messages");
+    assert_eq!(dist.best_node, seq.best_node, "{tag}: best_node");
 }
 
 proptest! {
@@ -130,5 +88,29 @@ proptest! {
         let g = graphs::generators::erdos_renyi_connected(n, 0.2, &mut rng)
             .expect("connected ER graph");
         assert_parity(&format!("er n={n} seed={seed}"), &g, 2);
+    }
+}
+
+/// `mstA` message ceilings under the default packing and the serial
+/// executor — today's counts, which are deterministic. Each is tighter
+/// than the ⅔-of-coin-mating floor it replaced (4,162 and 10,504).
+#[test]
+fn msta_messages_stay_under_their_ceilings() {
+    let planted = graphs::generators::clique_pair(8, 3).expect("clique pair");
+    let cases = [
+        ("clique_pair8", planted.graph, 2_819u64),
+        (
+            "torus6x5",
+            graphs::generators::torus2d(6, 5).expect("torus"),
+            8_120,
+        ),
+    ];
+    for (name, g, ceiling) in &cases {
+        let r = exact_mincut(g, &ExactConfig::default()).expect("pipeline runs");
+        let msgs = r.ledger.messages_matching("mstA");
+        assert!(
+            msgs <= *ceiling,
+            "{name}: mstA moved {msgs} messages > ceiling {ceiling}"
+        );
     }
 }

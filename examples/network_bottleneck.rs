@@ -3,8 +3,8 @@
 //! cooperatively compute the global minimum cut — the links whose failure
 //! partitions the network — using only `O(log n)`-bit messages. The walk
 //! then zooms into where the MST construction (phase A, the dominant
-//! message sink of each packed tree) spends its traffic, and what the
-//! optimized protocol's frozen-fragment skip saves over the legacy one.
+//! message sink of each packed tree) spends its traffic, and what its
+//! frozen-fragment skip saves.
 //!
 //! ```text
 //! cargo run --release --example network_bottleneck
@@ -13,7 +13,7 @@
 use mincut_repro::congest::MetricsLedger;
 use mincut_repro::graphs::{generators, traversal};
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
-use mincut_repro::mincut::dist::mst::{MstAMode, MstConfig};
+use mincut_repro::mincut::seq::tree_packing::greedy_packing;
 
 /// Sums `(messages, rounds, phases)` of the `mstA` sub-phases ending in
 /// `suffix` ("" aggregates all of phase A).
@@ -28,12 +28,10 @@ fn msta(ledger: &MetricsLedger, suffix: &str) -> (u64, u64, usize) {
 }
 
 /// Number of phase-A growth levels the run went through (levels appear
-/// as `mstA.l{level}.…` sub-phases; every level runs its cand/dec leg,
-/// so counting those is exact for either mode).
+/// as `mstA.l{level}.…` sub-phases; every level runs its `.cd` pass, so
+/// counting those is exact).
 fn levels(ledger: &MetricsLedger) -> usize {
-    let (_, _, cd) = msta(ledger, ".cd");
-    let (_, _, cand) = msta(ledger, ".cand");
-    cd.max(cand)
+    msta(ledger, ".cd").2
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -68,15 +66,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Where do the MST messages go? Phase A grows ⌈√n⌉-capped fragments
     // level by level; its three message species are the boundary
-    // announcements (exch), the candidate/decision convergecast (fused
-    // into one `.cd` pass in the optimized protocol), and the hook
-    // handshake + re-root floods.
+    // announcements (exch), the fused candidate/decision pass (cd), and
+    // the hook handshake + re-root floods.
     let (a_msgs, a_rounds, a_phases) = msta(&result.ledger, "");
     println!();
-    println!(
-        "mstA breakdown (optimized, {} trees packed):",
-        result.trees_packed
-    );
+    println!("mstA breakdown ({} trees packed):", result.trees_packed);
     println!(
         "  total    : {a_msgs} msgs over {a_rounds} rounds in {a_phases} sub-phases ({} growth levels)",
         levels(&result.ledger)
@@ -93,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     // Freeze statistics, read off the ledger: once a fragment hits the
-    // size cap it freezes — frozen nodes skip the cand/dec leg entirely,
+    // size cap it freezes — frozen nodes skip the cd pass entirely,
     // and a level whose boundary didn't change skips its exch phase
     // (the driver elides globally silent exchanges). Fewer exch phases
     // than levels = levels that moved zero announcement messages.
@@ -104,23 +98,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lv - exch_phases.min(lv)
     );
 
-    // The same run under the legacy phase A (per-level exch + separate
-    // cand and dec convergecasts + shared-coin mating) — identical cut,
-    // identical trees, ~2× the phase-A traffic.
-    let legacy_cfg = ExactConfig {
-        mst: MstConfig {
-            mode: MstAMode::Legacy,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let legacy = exact_mincut(&g, &legacy_cfg)?;
-    assert_eq!(legacy.cut.value, result.cut.value);
-    let (l_msgs, l_rounds, _) = msta(&legacy.ledger, "");
-    println!();
+    // Every distributed tree is the sequential greedy packing's tree.
+    let seq_trees = greedy_packing(&g, result.trees_packed)?;
+    for (got, mut want) in result.tree_edges.iter().zip(seq_trees) {
+        want.sort_unstable();
+        assert_eq!(
+            got, &want,
+            "distributed MST differs from the sequential packing"
+        );
+    }
     println!(
-        "legacy phase A on the same network: {l_msgs} msgs / {l_rounds} rounds — the optimized protocol moves {:.2}x fewer mstA messages",
-        l_msgs as f64 / a_msgs.max(1) as f64
+        "  all {} trees equal the sequential greedy packing, edge for edge",
+        result.trees_packed
     );
     Ok(())
 }

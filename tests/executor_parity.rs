@@ -1,6 +1,6 @@
 //! Full-pipeline executor parity: `exact_mincut` under the parallel
 //! round executor is bit-identical to the serial run — same cut, same
-//! side, same tree counts, same total rounds/messages, and the same
+//! side, same packed trees, same total rounds/messages, and the same
 //! per-phase metrics, entry by entry. The congest-level randomized
 //! parity suite lives in `crates/congest/tests/executor_parity.rs`; this
 //! test pins the property on the *whole* paper pipeline, where dozens of
@@ -31,6 +31,7 @@ fn exact_mincut_parallel_matches_serial_on_planted_graphs() {
                 "{name} t={threads}"
             );
             assert_eq!(par.best_node, serial.best_node, "{name} t={threads}");
+            assert_eq!(par.tree_edges, serial.tree_edges, "{name} t={threads}");
             assert_eq!(par.rounds, serial.rounds, "{name} t={threads}");
             assert_eq!(par.messages, serial.messages, "{name} t={threads}");
             // Phase-by-phase: names, rounds, messages, bits, and both

@@ -1,8 +1,8 @@
 //! Full-pipeline fault parity: `exact_mincut` under the fault-injecting
 //! executor — message drops, duplication, bounded delay with in-window
 //! reordering, all seeded and deterministic — returns **bit-identical**
-//! results to the serial executor: same cut value, same side, same tree
-//! counts, same arg-min node, same virtual rounds and payload traffic.
+//! results to the serial executor: same cut value, same side, same packed
+//! trees, same arg-min node, same virtual rounds and payload traffic.
 //! The α-synchronizer (`congest::sim`) is what makes dozens of
 //! heterogeneous phases (elections, MST levels, fragment floods,
 //! pipelined keyed-stream aggregations) survive an adversarial network
@@ -47,6 +47,7 @@ fn exact_mincut_under_faults_matches_serial_on_planted_graphs() {
             assert_eq!(faulty.trees_packed, serial.trees_packed, "{tag}");
             assert_eq!(faulty.trees_to_best, serial.trees_to_best, "{tag}");
             assert_eq!(faulty.best_node, serial.best_node, "{tag}");
+            assert_eq!(faulty.tree_edges, serial.tree_edges, "{tag}");
             assert_eq!(faulty.rounds, serial.rounds, "{tag}");
             assert_eq!(faulty.messages, serial.messages, "{tag}");
             // Phase by phase, the payload-level metrics match the serial
