@@ -1,37 +1,36 @@
-//! Full-pipeline phase-A mode parity, crossed with the executor grid:
-//! `exact_mincut` with the optimized `mstA` (frozen-level skip, fused
+//! Full-pipeline phase-A parity, crossed with the executor grid:
+//! `exact_mincut` with the `mstA` protocol (frozen-level skip, fused
 //! cand/dec convergecast, deterministic mating) returns **bit-identical
-//! cuts and trees** to the legacy phase A under the serial, parallel,
-//! and fault-injecting executors alike — while moving at most half the
-//! `mstA` messages. The randomized per-family parity suite lives in
+//! cuts and trees** under the serial, parallel, and fault-injecting
+//! executors alike, and those trees are the sequential greedy packing —
+//! the MST under the weight-then-edge-id order is unique, so this is the
+//! same output the retired coin-mating phase A produced — while moving
+//! at most ⅔ of the coin-mating protocol's `mstA` messages. The
+//! randomized per-family parity suite lives in
 //! `crates/core/tests/msta_parity.rs`; this test pins the property on
 //! planted-cut instances end to end, including the α-synchronizer
-//! (whose payload-bit-parity the optimized protocol must preserve just
-//! like the legacy one does).
+//! (whose payload-bit-parity the protocol must preserve).
 
 use mincut_repro::congest::sim::FaultPlan;
 use mincut_repro::congest::ExecutorKind;
 use mincut_repro::graphs::generators;
+use mincut_repro::graphs::EdgeId;
 use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
-use mincut_repro::mincut::dist::mst::{MstAMode, MstConfig};
+use mincut_repro::mincut::seq::tree_packing::{greedy_packing, packing_mincut};
 
-fn cfg(mode: MstAMode, executor: ExecutorKind) -> ExactConfig {
-    ExactConfig {
-        mst: MstConfig {
-            mode,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-    .with_executor(executor)
+fn cfg(executor: ExecutorKind) -> ExactConfig {
+    ExactConfig::default().with_executor(executor)
 }
 
 #[test]
 fn optimized_phase_a_matches_legacy_across_executors() {
+    // Third field: ⅔ of the coin-mating phase A's `mstA` message count on
+    // the instance (default packing), recorded when that protocol was
+    // retired. Message counts are executor-independent.
     let planted = generators::clique_pair(8, 3).unwrap();
     let cases = [
-        ("clique_pair8", planted.graph),
-        ("torus6x5", generators::torus2d(6, 5).unwrap()),
+        ("clique_pair8", planted.graph, 4_162u64),
+        ("torus6x5", generators::torus2d(6, 5).unwrap(), 10_504),
     ];
     let executors = [
         ("serial", ExecutorKind::Serial),
@@ -45,38 +44,38 @@ fn optimized_phase_a_matches_legacy_across_executors() {
             ),
         ),
     ];
-    for (name, g) in &cases {
+    for (name, g, legacy_floor) in &cases {
+        let packing = ExactConfig::default().packing;
+        let seq = packing_mincut(g, &packing).expect("sequential pipeline runs");
+        let want: Vec<Vec<EdgeId>> = greedy_packing(g, seq.trees_packed)
+            .expect("sequential packing runs")
+            .into_iter()
+            .map(|mut t| {
+                t.sort_unstable();
+                t
+            })
+            .collect();
         for (exec_name, executor) in &executors {
             let tag = format!("{name} under {exec_name}");
-            let legacy = exact_mincut(g, &cfg(MstAMode::Legacy, executor.clone()))
-                .expect("legacy run succeeds");
-            let opt = exact_mincut(g, &cfg(MstAMode::Optimized, executor.clone()))
-                .expect("optimized run succeeds");
-            assert_eq!(opt.cut.value, legacy.cut.value, "{tag}: lambda");
-            assert_eq!(opt.cut.side, legacy.cut.side, "{tag}: side");
-            assert_eq!(opt.trees_packed, legacy.trees_packed, "{tag}: trees");
+            let opt = exact_mincut(g, &cfg(executor.clone())).expect("run succeeds");
+            assert_eq!(opt.cut.value, seq.cut.value, "{tag}: lambda");
+            assert_eq!(opt.cut.side, seq.cut.side, "{tag}: side");
+            assert_eq!(opt.trees_packed, seq.trees_packed, "{tag}: trees");
+            assert_eq!(opt.trees_to_best, seq.trees_to_best, "{tag}: trees_to_best");
+            assert_eq!(opt.best_node, seq.best_node, "{tag}: best_node");
             assert_eq!(
-                opt.trees_to_best, legacy.trees_to_best,
-                "{tag}: trees_to_best"
+                opt.tree_edges, want,
+                "{tag}: MST edge sets must be the greedy packing"
             );
-            assert_eq!(opt.best_node, legacy.best_node, "{tag}: best_node");
-            assert_eq!(
-                opt.tree_edges, legacy.tree_edges,
-                "{tag}: MST edge sets must be identical"
-            );
-            // The win, not just the parity: optimized phase A moves at
-            // most ⅔ of the legacy mstA traffic on every instance and
-            // executor. (The ≥2× bar lives in `message_gate`, on the
-            // canonical torus24x24 and 70602-node instances — tiny
-            // graphs amortize fewer levels, so the floor here is
-            // looser.)
-            let (lm, om) = (
-                legacy.ledger.messages_matching("mstA"),
-                opt.ledger.messages_matching("mstA"),
-            );
+            // The win, not just the parity: at most ⅔ of the coin-mating
+            // mstA traffic on every instance and executor. (The ≥2× bar
+            // lives in `message_gate`, on the canonical torus24x24 and
+            // 70602-node instances — tiny graphs amortize fewer levels,
+            // so the floor here is looser.)
+            let om = opt.ledger.messages_matching("mstA");
             assert!(
-                om * 3 <= lm * 2,
-                "{tag}: optimized mstA moved {om} msgs > 2/3 of legacy's {lm}"
+                om <= *legacy_floor,
+                "{tag}: mstA moved {om} msgs > 2/3 of coin-mating's ({legacy_floor})"
             );
         }
     }
@@ -84,21 +83,27 @@ fn optimized_phase_a_matches_legacy_across_executors() {
 
 #[test]
 fn executor_grid_is_mode_internally_consistent() {
-    // Within one mode, the three executors agree with each other on
-    // rounds/messages too (payload bit-parity) — so the cross-mode
-    // assertions above compare well-defined quantities.
+    // The three executors agree with each other on rounds/messages too
+    // (payload bit-parity) — so the assertions above compare
+    // well-defined quantities.
     let g = generators::torus2d(6, 5).unwrap();
-    for mode in [MstAMode::Legacy, MstAMode::Optimized] {
-        let serial = exact_mincut(&g, &cfg(mode, ExecutorKind::Serial)).unwrap();
-        for executor in [
-            ExecutorKind::Parallel { threads: 2 },
+    let serial = exact_mincut(&g, &cfg(ExecutorKind::Serial)).unwrap();
+    for (tag, executor) in [
+        ("parallel", ExecutorKind::Parallel { threads: 2 }),
+        (
+            "faulty",
             ExecutorKind::Faulty(FaultPlan::with_drop(50, 0xA1_59).delayed(1)),
-        ] {
-            let other = exact_mincut(&g, &cfg(mode, executor)).unwrap();
-            assert_eq!(other.rounds, serial.rounds, "{mode:?}");
-            assert_eq!(other.messages, serial.messages, "{mode:?}");
-            assert_eq!(other.cut.value, serial.cut.value, "{mode:?}");
-            assert_eq!(other.tree_edges, serial.tree_edges, "{mode:?}");
-        }
+        ),
+    ] {
+        let other = exact_mincut(&g, &cfg(executor)).unwrap();
+        assert_eq!(other.rounds, serial.rounds, "{tag}");
+        assert_eq!(other.messages, serial.messages, "{tag}");
+        assert_eq!(other.cut.value, serial.cut.value, "{tag}");
+        assert_eq!(other.tree_edges, serial.tree_edges, "{tag}");
+        assert_eq!(
+            other.ledger.messages_matching("mstA"),
+            serial.ledger.messages_matching("mstA"),
+            "{tag}"
+        );
     }
 }
