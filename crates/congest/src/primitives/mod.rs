@@ -1,11 +1,9 @@
 //! Standard CONGEST building blocks.
 //!
 //! * [`leader_bfs`] — minimum-id leader election fused with BFS-tree
-//!   construction and echo-based termination: `O(D)` rounds. A thin
-//!   wrapper over [`staged_election`], which owns the protocol engine.
-//! * [`staged_election`] — the unified election engine: legacy flood and
-//!   the message-frugal staged election (local-minima candidacy +
-//!   radius-doubling fronts) as two knob settings of one protocol.
+//!   construction and echo-based termination: `O(D)` rounds, with
+//!   local-minima candidacy and radius-doubling fronts throttling the
+//!   re-flood traffic.
 //! * [`convergecast`] — aggregate one value per node up a tree/forest
 //!   (`O(height)` rounds).
 //! * [`broadcast`] — one item, or a pipelined stream of `k` items, from each
@@ -42,7 +40,6 @@ pub mod grouped;
 pub mod grouped_min;
 pub mod leader_bfs;
 pub mod merge;
-pub mod staged_election;
 pub mod subtree;
 pub mod upcast;
 
@@ -53,8 +50,7 @@ pub use exchange::{EdgeListExchange, NeighborExchange, PortDeltaExchange};
 pub use failure_detector::{FailureDetector, FdReport, JoinEcho};
 pub use grouped::{GroupedSum, KeyedSum, SumMonoid};
 pub use grouped_min::{BestMonoid, GroupedBest, KeyedItem, KeyedMin};
-pub use leader_bfs::{Election, LeaderBfs, LeaderBfsOutput};
+pub use leader_bfs::{LeaderBfs, LeaderBfsOutput};
 pub use merge::{KeyedMonoid, KeyedStreamReduce};
-pub use staged_election::{Candidacy, Schedule, StagedElection};
 pub use subtree::{KeyedSubtreeSum, SubtreeSums};
 pub use upcast::UpcastItems;

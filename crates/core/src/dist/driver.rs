@@ -27,7 +27,7 @@ use crate::dist::packing::{better, Cand, PackingTarget};
 use crate::seq::tree_packing::PackingConfig;
 use crate::MinCutError;
 use congest::primitives::convergecast::{Convergecast, MinPair, SumU64};
-use congest::primitives::leader_bfs::{Election, LeaderBfs};
+use congest::primitives::leader_bfs::LeaderBfs;
 use congest::primitives::subtree::SubtreeSums;
 use congest::primitives::{
     Broadcast, BroadcastItems, DeltaExchange, GroupedBest, GroupedSum, NeighborExchange,
@@ -51,11 +51,6 @@ pub struct ExactConfig {
     pub packing: PackingConfig,
     /// Distributed MST stage knobs (the phase-A fragment cap).
     pub mst: MstConfig,
-    /// Which leader-election protocol opens the pipeline. The staged
-    /// election (default) and the legacy flood produce bit-identical
-    /// leaders, BFS trees, and downstream cuts (election parity suite);
-    /// the staged one moves an order of magnitude fewer messages.
-    pub election: Election,
 }
 
 impl ExactConfig {
@@ -144,7 +139,6 @@ pub fn exact_mincut(
         mst: config.mst.clone(),
         target: PackingTarget::TrackBest(config.packing.clone()),
         sample: None,
-        election: config.election,
     };
     run_pipeline(g, &opts, None, None).map_err(|(e, _)| e)
 }
@@ -166,8 +160,6 @@ pub(crate) struct PipelineOpts {
     /// probability `p` (shared coins keyed by `(seed, edge id)`); cuts
     /// are always *evaluated* with the original weights.
     pub sample: Option<(f64, u64)>,
-    /// Leader-election protocol (see [`ExactConfig::election`]).
-    pub election: Election,
 }
 
 /// A driver-side snapshot of the pipeline's validated stage outputs,
@@ -406,17 +398,12 @@ impl<'g> Pipeline<'g> {
         g: &'g WeightedGraph,
         network: NetworkConfig,
         mst: MstConfig,
-        election: Election,
         pack_edge: &[u64],
     ) -> Result<Self, (MinCutError, MetricsLedger)> {
         let n = g.node_count();
         let mut net =
             Network::new(g, network).map_err(|e| (MinCutError::from(e), MetricsLedger::new()))?;
-        let bfs = match net.run(
-            "leader_bfs",
-            &LeaderBfs::with_election(election),
-            vec![(); n],
-        ) {
+        let bfs = match net.run("leader_bfs", &LeaderBfs::new(), vec![(); n]) {
             Ok(out) => out,
             Err(e) => {
                 let ledger = net.ledger().clone();
@@ -1640,13 +1627,7 @@ pub(crate) fn run_pipeline(
             *leader,
             parents,
         )?,
-        None => Pipeline::new(
-            g,
-            opts.network.clone(),
-            opts.mst.clone(),
-            opts.election,
-            &pack_edge,
-        )?,
+        None => Pipeline::new(g, opts.network.clone(), opts.mst.clone(), &pack_edge)?,
     };
     // Fail-fast distributed re-validation of the restored structures: a
     // node that died since the checkpoint aborts here (cheaply), before
@@ -1828,7 +1809,6 @@ mod tests {
             mst: MstConfig::default(),
             target: PackingTarget::Fixed(k),
             sample: None,
-            election: Election::default(),
         }
     }
 
@@ -1852,7 +1832,6 @@ mod tests {
                 g,
                 NetworkConfig::default(),
                 MstConfig::default(),
-                Election::default(),
                 &pack_edge,
             )
             .unwrap();
@@ -1899,7 +1878,6 @@ mod tests {
                 g,
                 NetworkConfig::default(),
                 MstConfig::default(),
-                Election::default(),
                 &pack_edge,
             )
             .unwrap();

@@ -1,24 +1,19 @@
-//! Downstream election parity: swapping the staged election for the
-//! legacy flood must not change *anything* the pipeline computes — cut
-//! value, cut side, tree counts, argmin node — because the two protocols
-//! hand the driver bit-identical BFS trees. Only the `leader_bfs` phase's
-//! message bill changes, and it must change by a lot.
+//! Downstream election parity: the pipeline that opens with `leader_bfs`
+//! computes exactly what the sequential packing computes — cut value,
+//! cut side, tree counts, argmin node — and the election's message bill
+//! on the 24×24 torus stays within its budget under both round
+//! executors.
 
-use mincut_repro::congest::primitives::leader_bfs::Election;
 use mincut_repro::congest::ExecutorKind;
 use mincut_repro::graphs::generators;
-use mincut_repro::mincut::dist::driver::{exact_mincut, DistMinCutResult, ExactConfig};
+use mincut_repro::mincut::dist::driver::{exact_mincut, ExactConfig};
+use mincut_repro::mincut::seq::tree_packing::packing_mincut;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn run(g: &mincut_repro::graphs::WeightedGraph, election: Election) -> DistMinCutResult {
-    let cfg = ExactConfig {
-        election,
-        ..Default::default()
-    };
-    exact_mincut(g, &cfg).expect("strict-mode run succeeds")
-}
-
+/// The elected BFS tree opens every pipeline stage; on five instance
+/// families the pipeline built on it returns exactly the sequential
+/// packing's answer.
 #[test]
 fn staged_and_legacy_elections_agree_end_to_end() {
     let mut rng = StdRng::seed_from_u64(23);
@@ -30,49 +25,38 @@ fn staged_and_legacy_elections_agree_end_to_end() {
     ];
     let base = generators::erdos_renyi_connected(24, 0.2, &mut rng).unwrap();
     cases.push(generators::randomize_weights(&base, 1, 5, &mut rng).unwrap());
-    for g in &cases {
-        let staged = run(g, Election::Staged);
-        let legacy = run(g, Election::Legacy);
-        assert_eq!(staged.cut.value, legacy.cut.value);
-        assert_eq!(staged.cut.side, legacy.cut.side);
-        assert_eq!(staged.trees_packed, legacy.trees_packed);
-        assert_eq!(staged.trees_to_best, legacy.trees_to_best);
-        assert_eq!(staged.best_node, legacy.best_node);
-        // Same phases ran; everything after the election is message-
-        // identical too (the BFS trees are bit-identical), so the total
-        // message gap is exactly the election's gap.
-        assert_eq!(staged.ledger.phases().len(), legacy.ledger.phases().len());
-        let staged_rest = staged.messages - staged.ledger.messages_matching("leader_bfs");
-        let legacy_rest = legacy.messages - legacy.ledger.messages_matching("leader_bfs");
-        assert_eq!(staged_rest, legacy_rest, "non-election phases must match");
+    let cfg = ExactConfig::default();
+    for (i, g) in cases.iter().enumerate() {
+        let dist = exact_mincut(g, &cfg).expect("strict-mode run succeeds");
+        let seq = packing_mincut(g, &cfg.packing).expect("sequential pipeline runs");
+        assert_eq!(dist.cut.value, seq.cut.value, "case {i}: lambda");
+        assert_eq!(dist.cut.side, seq.cut.side, "case {i}: cut side");
+        assert_eq!(dist.trees_packed, seq.trees_packed, "case {i}: trees");
+        assert_eq!(
+            dist.trees_to_best, seq.trees_to_best,
+            "case {i}: trees_to_best"
+        );
+        assert_eq!(dist.best_node, seq.best_node, "case {i}: best_node");
     }
 }
 
-/// The headline acceptance number, end to end: on the 24×24 torus the
-/// pipeline's `leader_bfs` phase moves ≥ 5× fewer messages under the
-/// staged election, with the identical minimum cut, under the serial
-/// *and* the parallel executor.
+/// The pipeline's `leader_bfs` phase on the 24×24 torus stays at or
+/// below ⌊24,190 / 5⌋ = 4,838 messages (the ≥ 5× cut against the
+/// retired every-node flood's 24,190; measured 2,879), under the serial
+/// *and* the parallel executor, with the identical minimum cut.
 #[test]
 fn torus24_leader_messages_drop_five_fold_under_both_executors() {
     let g = generators::torus2d(24, 24).unwrap();
-    for kind in [ExecutorKind::Serial, ExecutorKind::Parallel { threads: 4 }] {
-        let mk = |election| {
-            let cfg = ExactConfig {
-                election,
-                ..Default::default()
-            }
-            .with_executor(kind.clone());
-            exact_mincut(&g, &cfg).expect("strict-mode run succeeds")
-        };
-        let staged = mk(Election::Staged);
-        let legacy = mk(Election::Legacy);
-        assert_eq!(staged.cut.value, legacy.cut.value, "{kind:?}");
-        assert_eq!(staged.cut.side, legacy.cut.side, "{kind:?}");
-        let s = staged.ledger.messages_matching("leader_bfs");
-        let l = legacy.ledger.messages_matching("leader_bfs");
-        assert!(
-            s * 5 <= l,
-            "{kind:?}: staged leader_bfs {s} vs legacy {l}: less than 5×"
-        );
-    }
+    let runs: Vec<_> = [ExecutorKind::Serial, ExecutorKind::Parallel { threads: 4 }]
+        .into_iter()
+        .map(|kind| {
+            let cfg = ExactConfig::default().with_executor(kind.clone());
+            let r = exact_mincut(&g, &cfg).expect("strict-mode run succeeds");
+            let msgs = r.ledger.messages_matching("leader_bfs");
+            assert!(msgs <= 4_838, "{kind:?}: leader_bfs moved {msgs} messages");
+            r
+        })
+        .collect();
+    assert_eq!(runs[0].cut.value, runs[1].cut.value);
+    assert_eq!(runs[0].cut.side, runs[1].cut.side);
 }
